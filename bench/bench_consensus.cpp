@@ -32,6 +32,7 @@
 #include "dml/fault_injector.h"
 #include "market/marketplace.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "p2p/validator_network.h"
 #include "storage/chain_store.h"
 
@@ -771,7 +772,7 @@ int main() {
           chain::AddressFromPublicKey(senders.back().PublicKey()));
     }
 
-    auto make_chain = [&](common::ThreadPool* pool) {
+    auto make_chain = [&](common::ThreadPool* pool, size_t accounts) {
       ChainConfig config;
       config.thread_pool = pool;
       Blockchain bc({validator.PublicKey()}, ContractRegistry::CreateDefault(),
@@ -781,25 +782,39 @@ int main() {
       }
       // Filler accounts up to kAccounts so state digests and account-map
       // operations run at a realistic (not toy) state size.
-      for (size_t i = kLoadTxs; i < kAccounts; ++i) {
+      for (size_t i = kLoadTxs; i < accounts; ++i) {
         (void)bc.CreditGenesis(derived_address("par-filler-" +
                                                std::to_string(i)),
                                1);
       }
+      // The genesis state commitment (the first root builds the whole
+      // bucket tree), so timed applies pay only their incremental roots.
+      (void)bc.StateDigest();
       return bc;
     };
 
     obs::SetMetricsEnabled(true);
     obs::Registry& registry = obs::Registry::Global();
-    std::printf("%10s %8s %12s %16s %12s\n", "conflict", "threads", "apply ms",
-                "speedup vs seq", "lanes/blk");
-    std::string cells;
-    for (int conflict : {0, 25, 50, 100}) {
-      // Produce the sustained-load blocks once per conflict rate.
-      Blockchain producer = make_chain(nullptr);
+    // The digest column sums the chain.state_root spans of the timed
+    // replica applies, traced (a handful of spans per block).
+    auto state_root_ms = [] {
+      double ns = 0.0;
+      for (const obs::SpanRecord& span : obs::Tracer::Global().Snapshot()) {
+        if (span.name == "chain.state_root" && span.wall_end_ns != 0) {
+          ns += static_cast<double>(span.wall_end_ns - span.wall_start_ns);
+        }
+      }
+      return ns / 1e6;
+    };
+    std::printf("%10s %8s %12s %12s %16s %12s\n", "conflict", "threads",
+                "apply ms", "digest ms", "speedup vs seq", "lanes/blk");
+    // Produces kBlocks sustained-load blocks on a fresh chain of `accounts`
+    // accounts; conflict% of each block's transfers hit one hot account.
+    auto produce_blocks = [&](int conflict, size_t accounts,
+                              std::vector<chain::Block>* blocks) {
+      Blockchain producer = make_chain(nullptr, accounts);
       const chain::Address hot =
           derived_address("par-hot-" + std::to_string(conflict));
-      std::vector<chain::Block> blocks;
       for (size_t b = 0; b < kBlocks; ++b) {
         for (size_t i = 0; i < kLoadTxs; ++i) {
           // Bresenham spread: exactly conflict% of the block's transfers
@@ -816,10 +831,19 @@ int main() {
         }
         auto block = producer.ProduceBlock(validator, b + 1);
         if (!block.ok() || block->transactions.size() != kLoadTxs) {
-          std::printf("parallel_exec: block production failed\n");
-          return 1;
+          return false;
         }
-        blocks.push_back(*std::move(block));
+        blocks->push_back(*std::move(block));
+      }
+      return true;
+    };
+    std::string cells;
+    for (int conflict : {0, 25, 50, 100}) {
+      // Produce the sustained-load blocks once per conflict rate.
+      std::vector<chain::Block> blocks;
+      if (!produce_blocks(conflict, kAccounts, &blocks)) {
+        std::printf("parallel_exec: block production failed\n");
+        return 1;
       }
 
       // Sequential baseline = the pre-lane pipeline per block: one Schnorr
@@ -841,7 +865,7 @@ int main() {
         // Warm the verification cache via the mempool, then apply on a
         // one-thread pool: the timed section is execution + digests only.
         common::ThreadPool pool(1);
-        Blockchain warm = make_chain(&pool);
+        Blockchain warm = make_chain(&pool, kAccounts);
         for (const chain::Block& block : blocks) {
           for (const auto& tx : block.transactions) {
             (void)warm.SubmitTransaction(tx);
@@ -859,11 +883,13 @@ int main() {
 
       constexpr size_t kThreadCounts[] = {1, 2, 4};
       double apply_ms[3] = {0.0, 0.0, 0.0};
+      double digest_ms[3] = {0.0, 0.0, 0.0};
+      obs::SetTracingEnabled(true);
       uint64_t lanes_delta = 0, parallel_delta = 0, serial_delta = 0,
                abort_delta = 0;
       for (size_t t = 0; t < 3; ++t) {
         common::ThreadPool pool(kThreadCounts[t]);
-        Blockchain replica = make_chain(&pool);
+        Blockchain replica = make_chain(&pool, kAccounts);
         const uint64_t lanes0 =
             registry.GetCounter("chain.parallel.lanes").Value();
         const uint64_t par0 =
@@ -872,6 +898,7 @@ int main() {
             registry.GetCounter("chain.parallel.blocks_serial").Value();
         const uint64_t abort0 =
             registry.GetCounter("chain.parallel.aborts").Value();
+        obs::Tracer::Global().Reset();
         for (const chain::Block& block : blocks) {
           bench::Timer timer;
           if (!replica.ApplyExternalBlock(block).ok()) {
@@ -881,6 +908,7 @@ int main() {
           apply_ms[t] += timer.ElapsedMs();
         }
         apply_ms[t] /= static_cast<double>(kBlocks);
+        digest_ms[t] = state_root_ms() / static_cast<double>(kBlocks);
         if (kThreadCounts[t] == 4) {
           lanes_delta =
               registry.GetCounter("chain.parallel.lanes").Value() - lanes0;
@@ -893,14 +921,15 @@ int main() {
           abort_delta =
               registry.GetCounter("chain.parallel.aborts").Value() - abort0;
         }
-        std::printf("%9d%% %8zu %12.2f %16.2f %12.1f\n", conflict,
-                    kThreadCounts[t], apply_ms[t],
+        std::printf("%9d%% %8zu %12.2f %12.2f %16.2f %12.1f\n", conflict,
+                    kThreadCounts[t], apply_ms[t], digest_ms[t],
                     apply_ms[t] > 0.0 ? baseline_ms / apply_ms[t] : 0.0,
                     kThreadCounts[t] == 4 && parallel_delta > 0
                         ? static_cast<double>(lanes_delta) /
                               static_cast<double>(parallel_delta)
                         : 0.0);
       }
+      obs::SetTracingEnabled(false);
 
       char cell[512];
       std::snprintf(
@@ -922,7 +951,40 @@ int main() {
           static_cast<unsigned long long>(abort_delta));
       cells += cell;
     }
+
+    // Print-only: per-block apply against state size, 1 thread, 0% conflict,
+    // metrics off. (With metrics on, every block also publishes supply
+    // gauges that walk all accounts, which the rows above include.) The
+    // incremental state root keeps apply nearly flat in the account count.
+    // Not recorded in BENCH_parallel.json.
     obs::SetMetricsEnabled(false);
+    std::printf("%10s %8s %12s %12s   (1 thread, 0%% conflict, metrics off)\n",
+                "accounts", "threads", "apply ms", "digest ms");
+    for (size_t accounts : {kAccounts, size_t{1'000'000}}) {
+      std::vector<chain::Block> blocks;
+      if (!produce_blocks(0, accounts, &blocks)) {
+        std::printf("parallel_exec: block production failed\n");
+        return 1;
+      }
+      common::ThreadPool pool(1);
+      Blockchain replica = make_chain(&pool, accounts);
+      double apply_ms = 0.0;
+      obs::SetTracingEnabled(true);
+      obs::Tracer::Global().Reset();
+      for (const chain::Block& block : blocks) {
+        bench::Timer timer;
+        if (!replica.ApplyExternalBlock(block).ok()) {
+          std::printf("parallel_exec: replica rejected the block\n");
+          return 1;
+        }
+        apply_ms += timer.ElapsedMs();
+      }
+      obs::SetTracingEnabled(false);
+      std::printf("%10zu %8d %12.2f %12.2f\n", accounts, 1,
+                  apply_ms / static_cast<double>(kBlocks),
+                  state_root_ms() / static_cast<double>(kBlocks));
+    }
+    obs::Tracer::Global().Reset();
 
     bench::MergeParallelReport(
         "parallel_exec",

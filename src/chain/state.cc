@@ -1,11 +1,16 @@
 #include "chain/state.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "common/bytes.h"
 #include "common/checked_math.h"
 #include "common/serial.h"
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
+#include "obs/stopwatch.h"
+#include "obs/trace.h"
 
 namespace pds2::chain {
 
@@ -28,6 +33,123 @@ uint64_t DecodeStakeAmount(const std::optional<Bytes>& value) {
 }
 
 common::Bytes BurnedKeyBytes() { return common::ToBytes(kBurnedKey); }
+
+// --- State root encoding (docs/PROTOCOL.md "State root") --------------------
+// Domain tags: none is a prefix of another, so the four hash kinds can never
+// collide. Every variable-length field is u32-length-prefixed and every
+// integer is fixed-width little-endian (common::Writer's encoding).
+constexpr std::string_view kBucketTag = "pds2.state.v2.bucket";
+constexpr std::string_view kNodeTag = "pds2.state.v2.node";
+constexpr std::string_view kSpaceTag = "pds2.state.v2.space";
+constexpr std::string_view kRootTag = "pds2.state.v2.root";
+
+// Target accounts per bucket, and the widest bucket prefix (bucket start keys
+// are 4 bytes long).
+constexpr size_t kAccountsPerBucket = 16;
+constexpr uint32_t kMaxBucketBits = 32;
+
+void PutLe32(uint8_t* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+void PutLe64(uint8_t* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+void UpdateLengthPrefixed(crypto::Sha256& h, const uint8_t* data,
+                          size_t len) {
+  uint8_t prefix[4];
+  PutLe32(prefix, static_cast<uint32_t>(len));
+  h.Update(prefix, sizeof(prefix));
+  h.Update(data, len);
+}
+
+void FinishInto(crypto::Sha256& h, std::array<uint8_t, 32>* out) {
+  const Bytes digest = h.Finish();
+  std::memcpy(out->data(), digest.data(), out->size());
+}
+
+// k for n accounts: B = 2^k is the smallest power of two >= ceil(n / 16).
+uint32_t BucketBitsFor(size_t n) {
+  const size_t want = (n + kAccountsPerBucket - 1) / kAccountsPerBucket;
+  uint32_t bits = 0;
+  while (bits < kMaxBucketBits && (size_t{1} << bits) < want) ++bits;
+  return bits;
+}
+
+// Bucket b holds the addresses a with S_b <= a < S_{b+1} in byte order,
+// where S_b is the 4-byte big-endian encoding of b << (32 - k). For an
+// address of at least 4 bytes that is its top k bits; a shorter address
+// sorts before every start key it is a proper prefix of.
+uint32_t BucketOf(const Address& addr, uint32_t bits) {
+  if (bits == 0) return 0;
+  uint32_t p = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    p = (p << 8) | (i < addr.size() ? addr[i] : 0);
+  }
+  if (addr.size() < 4 && p != 0) --p;
+  return static_cast<uint32_t>(uint64_t{p} >> (32 - bits));
+}
+
+Bytes BucketStart(uint32_t bucket, uint32_t bits) {
+  const uint32_t start =
+      bits == 0 ? 0 : static_cast<uint32_t>(uint64_t{bucket} << (32 - bits));
+  Bytes key(4);
+  for (size_t i = 0; i < 4; ++i) {
+    key[i] = static_cast<uint8_t>(start >> (24 - 8 * i));
+  }
+  return key;
+}
+
+// Hashes bucket `bucket` from `it`, the first account at or after its start
+// key, into `out`. Returns the first account past the bucket.
+std::map<Address, Account>::const_iterator HashBucket(
+    std::map<Address, Account>::const_iterator it,
+    std::map<Address, Account>::const_iterator end, uint32_t bucket,
+    uint32_t bits, std::array<uint8_t, 32>* out) {
+  crypto::Sha256 h;
+  h.Update(kBucketTag);
+  // Leaf: u32 address length || address || u64 balance || u64 nonce.
+  uint8_t leaf[4 + kAddressSize + 16];
+  for (; it != end && BucketOf(it->first, bits) == bucket; ++it) {
+    const Address& addr = it->first;
+    if (addr.size() == kAddressSize) {
+      PutLe32(leaf, kAddressSize);
+      std::memcpy(leaf + 4, addr.data(), kAddressSize);
+      PutLe64(leaf + 4 + kAddressSize, it->second.balance);
+      PutLe64(leaf + 12 + kAddressSize, it->second.nonce);
+      h.Update(leaf, sizeof(leaf));
+    } else {
+      UpdateLengthPrefixed(h, addr.data(), addr.size());
+      PutLe64(leaf, it->second.balance);
+      PutLe64(leaf + 8, it->second.nonce);
+      h.Update(leaf, 16);
+    }
+  }
+  FinishInto(h, out);
+  return it;
+}
+
+void HashNode(const std::array<uint8_t, 32>& left,
+              const std::array<uint8_t, 32>& right,
+              std::array<uint8_t, 32>* out) {
+  crypto::Sha256 h;
+  h.Update(kNodeTag);
+  h.Update(left.data(), left.size());
+  h.Update(right.data(), right.size());
+  FinishInto(h, out);
+}
+
+void HashSpace(const std::map<Bytes, Bytes>& slots,
+               std::array<uint8_t, 32>* out) {
+  crypto::Sha256 h;
+  h.Update(kSpaceTag);
+  for (const auto& [key, value] : slots) {
+    UpdateLengthPrefixed(h, key.data(), key.size());
+    UpdateLengthPrefixed(h, value.data(), value.size());
+  }
+  FinishInto(h, out);
+}
 
 }  // namespace
 
@@ -129,10 +251,20 @@ void WorldState::JournalStorage(const std::string& space, const Bytes& key) {
   entry.key = key;
   auto space_it = storage_.find(space);
   if (space_it != storage_.end()) {
-    auto it = space_it->second.find(key);
-    if (it != space_it->second.end()) entry.prior_value = it->second;
+    auto it = space_it->second.slots.find(key);
+    if (it != space_it->second.slots.end()) entry.prior_value = it->second;
   }
   journal_.push_back(std::move(entry));
+}
+
+void WorldState::MarkAccountDirty(const Address& addr) {
+  if (tree_.empty()) return;  // no tree yet: the first Digest() builds it
+  const uint32_t bucket = BucketOf(addr, bucket_bits_);
+  uint64_t& word = dirty_bits_[bucket / 64];
+  const uint64_t bit = uint64_t{1} << (bucket % 64);
+  if ((word & bit) != 0) return;
+  word |= bit;
+  dirty_list_.push_back(bucket);
 }
 
 Status WorldState::Credit(const Address& addr, uint64_t amount) {
@@ -141,6 +273,7 @@ Status WorldState::Credit(const Address& addr, uint64_t amount) {
     return Status::InvalidArgument("credit would overflow account balance");
   }
   JournalAccount(addr);
+  MarkAccountDirty(addr);
   accounts_[addr].balance = new_balance;
   return Status::Ok();
 }
@@ -151,6 +284,7 @@ Status WorldState::Debit(const Address& addr, uint64_t amount) {
     return Status::InsufficientFunds("balance below debit amount");
   }
   JournalAccount(addr);
+  MarkAccountDirty(addr);
   it->second.balance -= amount;
   return Status::Ok();
 }
@@ -170,6 +304,7 @@ Status WorldState::Transfer(const Address& from, const Address& to,
 
 void WorldState::BumpNonce(const Address& addr) {
   JournalAccount(addr);
+  MarkAccountDirty(addr);
   accounts_[addr].nonce += 1;
 }
 
@@ -181,6 +316,7 @@ std::optional<Account> WorldState::GetAccount(const Address& addr) const {
 
 void WorldState::PutAccount(const Address& addr, const Account& account) {
   JournalAccount(addr);
+  MarkAccountDirty(addr);
   accounts_[addr] = account;
 }
 
@@ -188,16 +324,17 @@ std::optional<Bytes> WorldState::StorageGet(const std::string& space,
                                             const Bytes& key) const {
   auto space_it = storage_.find(space);
   if (space_it == storage_.end()) return std::nullopt;
-  auto it = space_it->second.find(key);
-  if (it == space_it->second.end()) return std::nullopt;
+  auto it = space_it->second.slots.find(key);
+  if (it == space_it->second.slots.end()) return std::nullopt;
   return it->second;
 }
 
 bool WorldState::StoragePut(const std::string& space, const Bytes& key,
                             const Bytes& value) {
   JournalStorage(space, key);
-  auto& space_map = storage_[space];
-  auto [it, inserted] = space_map.insert_or_assign(key, value);
+  Space& target = storage_[space];
+  target.dirty = true;
+  auto [it, inserted] = target.slots.insert_or_assign(key, value);
   (void)it;
   return !inserted;
 }
@@ -205,9 +342,10 @@ bool WorldState::StoragePut(const std::string& space, const Bytes& key,
 void WorldState::StorageDelete(const std::string& space, const Bytes& key) {
   auto space_it = storage_.find(space);
   if (space_it == storage_.end()) return;
-  if (space_it->second.find(key) == space_it->second.end()) return;
+  if (space_it->second.slots.find(key) == space_it->second.slots.end()) return;
   JournalStorage(space, key);
-  space_it->second.erase(key);
+  space_it->second.dirty = true;
+  space_it->second.slots.erase(key);
 }
 
 std::vector<std::pair<Bytes, Bytes>> WorldState::StorageScan(
@@ -215,8 +353,8 @@ std::vector<std::pair<Bytes, Bytes>> WorldState::StorageScan(
   std::vector<std::pair<Bytes, Bytes>> out;
   auto space_it = storage_.find(space);
   if (space_it == storage_.end()) return out;
-  for (auto it = space_it->second.lower_bound(prefix);
-       it != space_it->second.end(); ++it) {
+  const auto& slots = space_it->second.slots;
+  for (auto it = slots.lower_bound(prefix); it != slots.end(); ++it) {
     const Bytes& key = it->first;
     if (key.size() < prefix.size() ||
         !std::equal(prefix.begin(), prefix.end(), key.begin())) {
@@ -249,6 +387,7 @@ void WorldState::Rollback() {
   while (journal_.size() > mark) {
     const JournalEntry& entry = journal_.back();
     if (entry.kind == JournalEntry::Kind::kAccount) {
+      MarkAccountDirty(entry.addr);
       if (entry.prior_account.has_value()) {
         accounts_[entry.addr] = *entry.prior_account;
       } else {
@@ -256,10 +395,15 @@ void WorldState::Rollback() {
       }
     } else {
       if (entry.prior_value.has_value()) {
-        storage_[entry.space][entry.key] = *entry.prior_value;
+        Space& target = storage_[entry.space];
+        target.dirty = true;
+        target.slots[entry.key] = *entry.prior_value;
       } else {
         auto space_it = storage_.find(entry.space);
-        if (space_it != storage_.end()) space_it->second.erase(entry.key);
+        if (space_it != storage_.end()) {
+          space_it->second.dirty = true;
+          space_it->second.slots.erase(entry.key);
+        }
       }
     }
     journal_.pop_back();
@@ -288,10 +432,10 @@ common::Bytes WorldState::SerializeSnapshot() const {
     w.PutU64(account.nonce);
   }
   w.PutU64(storage_.size());
-  for (const auto& [space, kv] : storage_) {
-    w.PutString(space);
-    w.PutU64(kv.size());
-    for (const auto& [key, value] : kv) {
+  for (const auto& [name, space] : storage_) {
+    w.PutString(name);
+    w.PutU64(space.slots.size());
+    for (const auto& [key, value] : space.slots) {
       w.PutBytes(key);
       w.PutBytes(value);
     }
@@ -324,7 +468,7 @@ common::Result<WorldState> WorldState::DeserializeSnapshot(
     for (uint64_t j = 0; j < num_slots; ++j) {
       PDS2_ASSIGN_OR_RETURN(Bytes key, r.GetBytes());
       PDS2_ASSIGN_OR_RETURN(Bytes value, r.GetBytes());
-      if (!space_it->second.emplace(std::move(key), std::move(value))
+      if (!space_it->second.slots.emplace(std::move(key), std::move(value))
                .second) {
         return Status::Corruption("duplicate storage key in state snapshot");
       }
@@ -336,22 +480,74 @@ common::Result<WorldState> WorldState::DeserializeSnapshot(
   return state;
 }
 
-Hash WorldState::Digest() const {
-  crypto::Sha256 h;
-  h.Update("pds2.state");
-  for (const auto& [addr, account] : accounts_) {
-    h.Update(addr);
-    common::Writer w;
-    w.PutU64(account.balance);
-    w.PutU64(account.nonce);
-    h.Update(w.data());
+void WorldState::RebuildAccountTree(uint32_t bits) const {
+  const uint32_t buckets = uint32_t{1} << bits;
+  bucket_bits_ = bits;
+  tree_.assign(2 * size_t{buckets}, NodeHash{});
+  dirty_bits_.assign((buckets + 63) / 64, 0);
+  dirty_list_.clear();
+  // One ordered sweep: each bucket is the next contiguous run of accounts.
+  auto it = accounts_.cbegin();
+  for (uint32_t b = 0; b < buckets; ++b) {
+    it = HashBucket(it, accounts_.cend(), b, bits, &tree_[buckets + b]);
   }
-  for (const auto& [space, kv] : storage_) {
-    h.Update(space);
-    for (const auto& [key, value] : kv) {
-      h.Update(key);
-      h.Update(value);
+  for (uint32_t node = buckets - 1; node >= 1; --node) {
+    HashNode(tree_[2 * node], tree_[2 * node + 1], &tree_[node]);
+  }
+  PDS2_M_COUNT("chain.state_root.buckets_rehashed", buckets);
+}
+
+void WorldState::RefreshAccountTree() const {
+  if (dirty_list_.empty()) return;
+  const uint32_t buckets = uint32_t{1} << bucket_bits_;
+  std::vector<uint32_t> nodes;
+  nodes.reserve(dirty_list_.size());
+  for (uint32_t b : dirty_list_) {
+    // Bucket 0 also holds the addresses sorting before its start key.
+    const auto first =
+        b == 0 ? accounts_.cbegin()
+               : accounts_.lower_bound(BucketStart(b, bucket_bits_));
+    HashBucket(first, accounts_.cend(), b, bucket_bits_, &tree_[buckets + b]);
+    dirty_bits_[b / 64] &= ~(uint64_t{1} << (b % 64));
+    nodes.push_back(buckets + b);
+  }
+  PDS2_M_COUNT("chain.state_root.buckets_rehashed", dirty_list_.size());
+  dirty_list_.clear();
+  // Climb one level at a time so a node shared by several dirty buckets is
+  // hashed once.
+  std::sort(nodes.begin(), nodes.end());
+  while (nodes.front() > 1) {
+    for (uint32_t& node : nodes) node /= 2;
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    for (uint32_t node : nodes) {
+      HashNode(tree_[2 * node], tree_[2 * node + 1], &tree_[node]);
     }
+  }
+}
+
+Hash WorldState::Digest() const {
+  obs::ScopedSpan span("chain.state_root");
+  PDS2_M_TIME_US("chain.state_root_us");
+  const uint32_t bits = BucketBitsFor(accounts_.size());
+  if (tree_.empty() || bits != bucket_bits_) {
+    RebuildAccountTree(bits);
+  } else {
+    RefreshAccountTree();
+  }
+  crypto::Sha256 h;
+  h.Update(kRootTag);
+  const uint8_t k = static_cast<uint8_t>(bucket_bits_);
+  h.Update(&k, 1);
+  h.Update(tree_[1].data(), tree_[1].size());
+  for (const auto& [name, space] : storage_) {
+    if (space.dirty) {
+      HashSpace(space.slots, &space.hash);
+      space.dirty = false;
+    }
+    if (space.slots.empty()) continue;  // empty spaces are not committed
+    UpdateLengthPrefixed(h, reinterpret_cast<const uint8_t*>(name.data()),
+                         name.size());
+    h.Update(space.hash.data(), space.hash.size());
   }
   return h.Finish();
 }

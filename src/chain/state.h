@@ -1,6 +1,8 @@
 #ifndef PDS2_CHAIN_STATE_H_
 #define PDS2_CHAIN_STATE_H_
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -117,7 +119,7 @@ class WorldState final : public StateView {
   void BumpNonce(const Address& addr) override;
   /// Raw account record; nullopt when the account does not exist. The
   /// existence distinction is observable (created-but-empty accounts are
-  /// hashed by Digest()), so overlay views replicate it exactly.
+  /// committed by Digest()), so overlay views replicate it exactly.
   std::optional<Account> GetAccount(const Address& addr) const;
   /// Installs an account record verbatim (journaled like any mutation).
   /// Used by the parallel executor to merge lane overlays.
@@ -152,8 +154,15 @@ class WorldState final : public StateView {
   /// Depth of open checkpoints (0 outside any transaction).
   size_t CheckpointDepth() const { return checkpoints_.size(); }
 
-  /// Commitment to the full state (order-independent digest of accounts
-  /// and storage). Included in block headers.
+  /// Commitment to the full state, included in block headers as the state
+  /// root: a binary Merkle tree over 2^k address-prefix buckets of
+  /// accounts, combined with one hash per non-empty storage space (exact
+  /// encoding: docs/PROTOCOL.md "State root"). The bucket and space hashes
+  /// are cached and every mutation (Rollback included) marks what it
+  /// touched, so a call re-hashes only the buckets and spaces changed since
+  /// the previous call plus their tree paths. A change of k (it follows the
+  /// account count) rebuilds the tree once. Refreshing the cache makes this
+  /// a writer: do not call it concurrently with any other WorldState method.
   Hash Digest() const;
 
   /// Sum of all account balances — the circulating native supply. Only
@@ -165,9 +174,8 @@ class WorldState final : public StateView {
   // --- Snapshots ------------------------------------------------------------
 
   /// Canonical byte serialization of the full state (accounts in address
-  /// order, then storage spaces in name/key order — the same iteration
-  /// order Digest() hashes, so a restored state digests identically).
-  /// Requires no open checkpoints.
+  /// order, then storage spaces in name/key order). A restored state
+  /// digests identically. Requires no open checkpoints.
   common::Bytes SerializeSnapshot() const;
 
   /// Rebuilds a state from SerializeSnapshot bytes. Corruption on any
@@ -187,14 +195,37 @@ class WorldState final : public StateView {
     std::optional<common::Bytes> prior_value;
   };
 
+  using NodeHash = std::array<uint8_t, 32>;
+
+  /// One contract-storage namespace and its cached space hash.
+  struct Space {
+    std::map<common::Bytes, common::Bytes> slots;
+    mutable NodeHash hash{};
+    mutable bool dirty = true;
+  };
+
   void JournalAccount(const Address& addr);
   void JournalStorage(const std::string& space, const common::Bytes& key);
+  /// Marks the bucket holding `addr` for re-hashing by the next Digest().
+  void MarkAccountDirty(const Address& addr);
+  /// Rebuilds every bucket and node hash for 2^bits buckets.
+  void RebuildAccountTree(uint32_t bits) const;
+  /// Re-hashes the dirty buckets and their paths to the tree root.
+  void RefreshAccountTree() const;
 
   std::map<Address, Account> accounts_;
-  // space -> key -> value.
-  std::map<std::string, std::map<common::Bytes, common::Bytes>> storage_;
+  std::map<std::string, Space> storage_;
   std::vector<JournalEntry> journal_;
   std::vector<size_t> checkpoints_;  // journal sizes at Begin()
+
+  // Account-tree cache behind Digest(), in heap layout: tree_[1] is the
+  // root, tree_[B + b] the hash of bucket b, B = 2^bucket_bits_. Empty
+  // until the first Digest(). A dirty bucket is in dirty_list_ exactly when
+  // its bit in dirty_bits_ is set.
+  mutable uint32_t bucket_bits_ = 0;
+  mutable std::vector<NodeHash> tree_;
+  mutable std::vector<uint64_t> dirty_bits_;
+  mutable std::vector<uint32_t> dirty_list_;
 };
 
 }  // namespace pds2::chain

@@ -32,11 +32,13 @@ using common::Writer;
 
 namespace {
 
-// 8-byte file magics. The trailing byte is a format version; bumping it
-// makes old readers fail cleanly with "bad magic" instead of misparsing.
-constexpr char kLogMagic[8] = {'P', 'D', 'S', '2', 'L', 'O', 'G', '\x01'};
+// 8-byte file magics: a 7-byte tag plus a format version byte. Version 2
+// commits block headers to the bucketed Merkle state root (docs/PROTOCOL.md
+// "State root"); a file of another version is refused by CheckMagic with
+// its version named, instead of failing later as a state root mismatch.
+constexpr char kLogMagic[8] = {'P', 'D', 'S', '2', 'L', 'O', 'G', '\x02'};
 constexpr char kSnapshotMagic[8] = {'P', 'D', 'S', '2',
-                                    'S', 'N', 'P', '\x01'};
+                                    'S', 'N', 'P', '\x02'};
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kTmpSuffix[] = ".tmp";
 
@@ -48,6 +50,25 @@ bool HasSuffix(const std::string& s, const std::string& suffix) {
 // One log/snapshot record, in the storage layer's shared CRC framing
 // ([u32 len][u32 crc][payload]; see storage/record_io.h).
 Bytes EncodeRecord(const Bytes& payload) { return EncodeCrcRecord(payload); }
+
+// Checks that `data` opens with `magic`. Same tag but another version byte
+// is FailedPrecondition naming both versions; anything else is Corruption.
+Status CheckMagic(const uint8_t* data, size_t size, const char (&magic)[8],
+                  const std::string& what) {
+  constexpr size_t kTagSize = sizeof(magic) - 1;
+  if (size >= sizeof(magic) && std::memcmp(data, magic, kTagSize) == 0 &&
+      data[kTagSize] != static_cast<uint8_t>(magic[kTagSize])) {
+    return Status::FailedPrecondition(
+        what + " has format version " + std::to_string(data[kTagSize]) +
+        "; this build reads only format version " +
+        std::to_string(static_cast<uint8_t>(magic[kTagSize])) +
+        " (the state root definition changed between versions)");
+  }
+  if (size < sizeof(magic) || std::memcmp(data, magic, sizeof(magic)) != 0) {
+    return Status::Corruption("bad " + what + " magic");
+  }
+  return Status::Ok();
+}
 
 Status ReadFileBytes(const std::string& path, Bytes* out) {
   std::ifstream in(path, std::ios::binary);
@@ -162,10 +183,8 @@ Status ChainStore::ScanLog() {
     PDS2_RETURN_IF_ERROR(sync);
     return SyncDir();
   }
-  if (buf.size() < sizeof(kLogMagic) ||
-      std::memcmp(buf.data(), kLogMagic, sizeof(kLogMagic)) != 0) {
-    return Status::Corruption("bad block log magic: " + path);
-  }
+  PDS2_RETURN_IF_ERROR(
+      CheckMagic(buf.data(), buf.size(), kLogMagic, "block log " + path));
 
   Reader r(buf);
   (void)r.GetRaw(sizeof(kLogMagic));
@@ -326,14 +345,11 @@ void ChainStore::GarbageCollectSnapshots() {
 Result<Bytes> ChainStore::LoadSnapshot(uint64_t height) const {
   Bytes buf;
   PDS2_RETURN_IF_ERROR(ReadFileBytes(SnapshotPath(height), &buf));
+  PDS2_RETURN_IF_ERROR(
+      CheckMagic(buf.data(), buf.size(), kSnapshotMagic,
+                 "snapshot at height " + std::to_string(height)));
   Reader r(buf);
-  auto magic = r.GetRaw(sizeof(kSnapshotMagic));
-  if (!magic.ok() ||
-      std::memcmp(magic->data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-          0) {
-    return Status::Corruption("bad snapshot magic at height " +
-                              std::to_string(height));
-  }
+  (void)r.GetRaw(sizeof(kSnapshotMagic));
   auto payload = ReadCrcRecord(r);
   if (!payload.ok()) {
     return Status::Corruption("snapshot checksum mismatch at height " +

@@ -146,6 +146,19 @@ TEST(WorldStateTest, DigestChangesWithState) {
   EXPECT_NE(d1, d2);
 }
 
+// Regression: the root must length-prefix storage fields. Concatenating
+// name, key and value made ("ns", "ab", "c") and ("ns", "a", "bc") — and
+// ("nsa", "b", "c") — hash identically.
+TEST(WorldStateTest, DigestSeparatesStorageFields) {
+  WorldState ab_c, a_bc, nsa_b_c;
+  ab_c.StoragePut("ns", ToBytes("ab"), ToBytes("c"));
+  a_bc.StoragePut("ns", ToBytes("a"), ToBytes("bc"));
+  nsa_b_c.StoragePut("nsa", ToBytes("b"), ToBytes("c"));
+  EXPECT_NE(ab_c.Digest(), a_bc.Digest());
+  EXPECT_NE(ab_c.Digest(), nsa_b_c.Digest());
+  EXPECT_NE(a_bc.Digest(), nsa_b_c.Digest());
+}
+
 TEST(WorldStateTest, DigestDeterministic) {
   WorldState a, b;
   // Same mutations in different order -> same digest (map-ordered).

@@ -259,6 +259,49 @@ TEST_F(ChainStoreTest, ForeignLogMagicIsCleanCorruption) {
   EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
 }
 
+// A directory written before the state root became the bucketed Merkle
+// root (format version 1) must be refused up front with its version named,
+// not replayed into a confusing "state root mismatch".
+TEST_F(ChainStoreTest, OldFormatVersionIsRefusedByName) {
+  ChainStoreOptions options;
+  options.snapshot_interval = 4;
+  {
+    RecoveredChain rec = MustOpen(options);
+    ProduceBlocks(*rec.chain, 5);  // snapshot at 4
+  }
+  auto set_version_byte = [](const std::string& path, char version) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good()) << path;
+    f.seekp(7);
+    f.write(&version, 1);
+  };
+
+  set_version_byte(SnapshotPath(4), '\x01');
+  {
+    RecoveredChain rec = MustOpen(options);  // the log alone still recovers
+    EXPECT_FALSE(rec.info.used_snapshot);
+    auto payload = rec.store->LoadSnapshot(4);
+    ASSERT_FALSE(payload.ok());
+    EXPECT_EQ(payload.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(payload.status().message().find("format version 1"),
+              std::string::npos)
+        << payload.status().ToString();
+  }
+
+  set_version_byte(LogPath(), '\x01');
+  auto recovered = OpenBlockchain(dir_, {validator_.PublicKey()}, Genesis(),
+                                  {}, options);
+  ASSERT_FALSE(recovered.ok());
+  const common::Status& status = recovered.status();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("format version 1"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("format version 2"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(status.message().find("state root mismatch"), std::string::npos)
+      << status.ToString();
+}
+
 TEST_F(ChainStoreTest, LeftoverTempFilesAreSweptOnOpen) {
   {
     RecoveredChain rec = MustOpen();
