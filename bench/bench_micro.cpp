@@ -13,6 +13,7 @@
 #include "chain/chain.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "crypto/ed25519.h"
 #include "crypto/merkle.h"
 #include "crypto/paillier.h"
 #include "crypto/schnorr.h"
@@ -106,9 +107,10 @@ BENCHMARK(BM_MerkleBuildParallel)
     ->Args({8192, 1})
     ->Args({8192, 4});
 
-void BM_SchnorrVerifyBatchParallel(benchmark::State& state) {
-  // Args: {signatures, threads}. The block-validation hot loop: verify a
-  // batch of independent (pubkey, msg, sig) triples on the pool.
+void BM_SchnorrVerifyPerEntryOnPool(benchmark::State& state) {
+  // Args: {signatures, threads}. Independent per-entry VerifySignature calls
+  // spread over a pool — the fallback path a block takes when its batch
+  // check fails, and the baseline BM_VerifySignatureBatch is read against.
   common::Rng rng(7);
   const size_t batch = static_cast<size_t>(state.range(0));
   std::vector<crypto::SigningKey> keys;
@@ -130,10 +132,48 @@ void BM_SchnorrVerifyBatchParallel(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SchnorrVerifyBatchParallel)
+BENCHMARK(BM_SchnorrVerifyPerEntryOnPool)
     ->Args({64, 1})
     ->Args({64, 2})
     ->Args({64, 4});
+
+void BM_VerifySignatureBatch(benchmark::State& state) {
+  // Arg: signatures. One randomized multi-scalar check over the whole
+  // batch (single thread), as block validation runs it.
+  common::Rng rng(8);
+  std::vector<crypto::BatchVerifyEntry> entries;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    crypto::SigningKey key = crypto::SigningKey::Generate(rng);
+    common::Bytes msg = rng.NextBytes(128);
+    common::Bytes sig = key.Sign(msg);
+    entries.push_back({key.PublicKey(), std::move(msg), std::move(sig)});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::VerifySignatureBatch(entries));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_VerifySignatureBatch)->Arg(16)->Arg(50)->Arg(200);
+
+void BM_ScalarBaseMul(benchmark::State& state) {
+  common::Rng rng(9);
+  const crypto::BigUint k =
+      crypto::BigUint::RandomBelow(crypto::EdPoint::GroupOrder(), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::EdPoint::ScalarBaseMul(k));
+  }
+}
+BENCHMARK(BM_ScalarBaseMul);
+
+void BM_SharedSecret(benchmark::State& state) {
+  common::Rng rng(10);
+  crypto::SigningKey alice = crypto::SigningKey::Generate(rng);
+  crypto::SigningKey bob = crypto::SigningKey::Generate(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(alice.SharedSecret(bob.PublicKey()));
+  }
+}
+BENCHMARK(BM_SharedSecret);
 
 void BM_ObliviousSort(benchmark::State& state) {
   common::Rng rng(6);

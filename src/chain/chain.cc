@@ -102,8 +102,11 @@ namespace {
 // only cost is re-verifying, never a correctness change.
 constexpr size_t kMaxVerifiedTxCacheEntries = 1 << 17;
 
-// Below this many signatures a batch chunk stops amortizing the two fixed
-// base-point multiplications, so chunks never shrink under this size.
+// Below this many signatures a batch chunk stops paying for itself. Its
+// s-sum is one fixed-base table pass, cheap at any size, but Pippenger's
+// per-window bucket walk is a fixed cost that a small chunk cannot spread
+// over enough points to beat per-entry verification. Chunks never shrink
+// under this size.
 constexpr size_t kMinSignatureBatch = 16;
 
 // Below this many transactions the lane-planning pre-pass costs more than

@@ -137,11 +137,14 @@ void Tracer::End(uint64_t id, uint64_t epoch, bool has_sim,
       break;
     }
   }
-  if (epoch != this->epoch()) return;  // tracer was Reset since Begin
   const uint64_t now_ns = WallNowNs();
   std::string name;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Checked under mu_, which Reset holds while it bumps the epoch: read
+    // outside, a Reset plus a new span with the same id could slip in
+    // between and this span would stamp the new record.
+    if (epoch != this->epoch()) return;  // tracer was Reset since Begin
     if (id == 0 || id > records_.size()) return;
     SpanRecord& record = records_[id - 1];
     record.wall_end_ns = now_ns;
@@ -155,9 +158,9 @@ void Tracer::End(uint64_t id, uint64_t epoch, bool has_sim,
 }
 
 void Tracer::AddLink(uint64_t id, uint64_t epoch, const TraceContext& ctx) {
-  if (id == 0 || !ctx.valid()) return;
-  if (epoch != this->epoch() || ctx.epoch != epoch) return;
+  if (id == 0 || !ctx.valid() || ctx.epoch != epoch) return;
   std::lock_guard<std::mutex> lock(mu_);
+  if (epoch != this->epoch()) return;  // under mu_, as in End
   if (id > records_.size()) return;
   records_[id - 1].links.push_back(ctx.span_id);
 }
