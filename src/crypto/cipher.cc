@@ -44,8 +44,9 @@ Bytes AuthCipher::Seal(const Bytes& plaintext, const Bytes& nonce_seed) const {
   Bytes stream = Keystream(nonce, plaintext.size());
   Bytes out = nonce;
   out.reserve(kNonceSize + plaintext.size() + kTagSize);
+  out.resize(kNonceSize + plaintext.size());
   for (size_t i = 0; i < plaintext.size(); ++i) {
-    out.push_back(plaintext[i] ^ stream[i]);
+    out[kNonceSize + i] = plaintext[i] ^ stream[i];
   }
   // Tag over nonce || ciphertext (everything emitted so far).
   Bytes tag = HmacSha256(mac_key_, out);

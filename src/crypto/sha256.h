@@ -14,7 +14,9 @@ constexpr size_t kSha256DigestSize = 32;
 
 /// Incremental SHA-256 (FIPS 180-4). Used as the platform-wide content
 /// hash: block hashes, transaction ids, Merkle nodes, enclave measurements,
-/// content addresses and key derivation all go through this.
+/// content addresses and key derivation all go through this. The block
+/// compression runs on the x86 SHA extensions when CPUID reports them and
+/// on a portable kernel otherwise; both give identical digests.
 class Sha256 {
  public:
   Sha256();
@@ -36,8 +38,6 @@ class Sha256 {
   static common::Bytes Hash2(const common::Bytes& a, const common::Bytes& b);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   std::array<uint32_t, 8> state_;
   uint64_t total_len_ = 0;
   uint8_t buffer_[64];

@@ -2,6 +2,7 @@
 
 #include "chain/chain.h"
 #include "chain/contracts/actor_registry.h"
+#include "common/hex.h"
 #include "common/rng.h"
 #include "common/serial.h"
 
@@ -443,6 +444,18 @@ TEST_F(ChainTest, CallToUndeployedInstanceFails) {
       alice_, 0, Address{}, 0, kGas,
       CallPayload{"erc20", 99, "total_supply", {}}));
   EXPECT_FALSE(receipt.success);
+}
+
+TEST(TransactionGoldenTest, FixedTransactionId) {
+  // Recorded with the portable SHA-256 compression: the id hashes the full
+  // serialization, including the deterministic Schnorr signature.
+  const SigningKey sender = SigningKey::FromSeed(ToBytes("golden sender"));
+  const Transaction tx = Transaction::Make(
+      sender, 7,
+      AddressFromPublicKey(SigningKey::FromSeed(ToBytes("golden to")).PublicKey()),
+      12345, kGas, CallPayload{"erc20", 3, "transfer", ToBytes("args")}, 2);
+  EXPECT_EQ(common::HexEncode(tx.Id()),
+            "4df602569641ccf83b4aa54f2f510a5016c177d0ff31d5dc59213e0d93ff0b67");
 }
 
 }  // namespace

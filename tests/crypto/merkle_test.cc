@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
@@ -116,6 +117,14 @@ TEST(MerkleTest, LargeRandomTree) {
     EXPECT_TRUE(MerkleTree::Verify(tree.Root(), leaves[i], *proof));
   }
   EXPECT_FALSE(tree.Prove(500).ok());
+}
+
+TEST(MerkleTest, SevenLeafGoldenRoot) {
+  // Recorded with the portable SHA-256 compression and reproduced with
+  // Python's hashlib; pins leaf/node domain separation and odd-level
+  // promotion together with the hash itself.
+  MerkleTree tree(MakeLeaves(7));
+  EXPECT_EQ(common::HexEncode(tree.Root()), "0b007fb915eb9b2a146f54b1c86ec53b664f8e455b7660b0b6ee13edc0d921c0");
 }
 
 }  // namespace
