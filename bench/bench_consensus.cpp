@@ -794,7 +794,6 @@ int main() {
     };
 
     obs::SetMetricsEnabled(true);
-    obs::Registry& registry = obs::Registry::Global();
     // The digest column sums the chain.state_root spans of the timed
     // replica applies, traced (a handful of spans per block).
     auto state_root_ms = [] {
@@ -806,8 +805,8 @@ int main() {
       }
       return ns / 1e6;
     };
-    std::printf("%10s %8s %12s %12s %16s %12s\n", "conflict", "threads",
-                "apply ms", "digest ms", "speedup vs seq", "lanes/blk");
+    std::printf("%10s %8s %12s %12s %16s\n", "conflict", "threads",
+                "apply ms", "digest ms", "speedup vs seq");
     // Produces kBlocks sustained-load blocks on a fresh chain of `accounts`
     // accounts; conflict% of each block's transfers hit one hot account.
     auto produce_blocks = [&](int conflict, size_t accounts,
@@ -846,8 +845,8 @@ int main() {
         return 1;
       }
 
-      // Sequential baseline = the pre-lane pipeline per block: one Schnorr
-      // verification per transaction plus strictly serial execution.
+      // Sequential baseline per block: one Schnorr verification per
+      // transaction plus strictly serial execution.
       bench::Timer per_entry_timer;
       for (const chain::Block& block : blocks) {
         for (const auto& tx : block.transactions) {
@@ -885,19 +884,9 @@ int main() {
       double apply_ms[3] = {0.0, 0.0, 0.0};
       double digest_ms[3] = {0.0, 0.0, 0.0};
       obs::SetTracingEnabled(true);
-      uint64_t lanes_delta = 0, parallel_delta = 0, serial_delta = 0,
-               abort_delta = 0;
       for (size_t t = 0; t < 3; ++t) {
         common::ThreadPool pool(kThreadCounts[t]);
         Blockchain replica = make_chain(&pool, kAccounts);
-        const uint64_t lanes0 =
-            registry.GetCounter("chain.parallel.lanes").Value();
-        const uint64_t par0 =
-            registry.GetCounter("chain.parallel.blocks_parallel").Value();
-        const uint64_t ser0 =
-            registry.GetCounter("chain.parallel.blocks_serial").Value();
-        const uint64_t abort0 =
-            registry.GetCounter("chain.parallel.aborts").Value();
         obs::Tracer::Global().Reset();
         for (const chain::Block& block : blocks) {
           bench::Timer timer;
@@ -909,25 +898,9 @@ int main() {
         }
         apply_ms[t] /= static_cast<double>(kBlocks);
         digest_ms[t] = state_root_ms() / static_cast<double>(kBlocks);
-        if (kThreadCounts[t] == 4) {
-          lanes_delta =
-              registry.GetCounter("chain.parallel.lanes").Value() - lanes0;
-          parallel_delta =
-              registry.GetCounter("chain.parallel.blocks_parallel").Value() -
-              par0;
-          serial_delta =
-              registry.GetCounter("chain.parallel.blocks_serial").Value() -
-              ser0;
-          abort_delta =
-              registry.GetCounter("chain.parallel.aborts").Value() - abort0;
-        }
-        std::printf("%9d%% %8zu %12.2f %12.2f %16.2f %12.1f\n", conflict,
+        std::printf("%9d%% %8zu %12.2f %12.2f %16.2f\n", conflict,
                     kThreadCounts[t], apply_ms[t], digest_ms[t],
-                    apply_ms[t] > 0.0 ? baseline_ms / apply_ms[t] : 0.0,
-                    kThreadCounts[t] == 4 && parallel_delta > 0
-                        ? static_cast<double>(lanes_delta) /
-                              static_cast<double>(parallel_delta)
-                        : 0.0);
+                    apply_ms[t] > 0.0 ? baseline_ms / apply_ms[t] : 0.0);
       }
       obs::SetTracingEnabled(false);
 
@@ -937,26 +910,17 @@ int main() {
           "%s\n      {\"conflict_pct\": %d, \"per_entry_verify_ms\": %.3f, "
           "\"serial_exec_ms\": %.3f, \"sequential_baseline_ms\": %.3f, "
           "\"apply_ms_1t\": %.3f, \"apply_ms_2t\": %.3f, "
-          "\"apply_ms_4t\": %.3f, \"speedup_vs_sequential_4t\": %.2f, "
-          "\"lanes_per_block\": %.1f, \"parallel_blocks\": %llu, "
-          "\"serial_blocks\": %llu, \"aborted_speculations\": %llu}",
+          "\"apply_ms_4t\": %.3f, \"speedup_vs_sequential_4t\": %.2f}",
           cells.empty() ? "" : ",", conflict, per_entry_ms, serial_exec_ms,
           baseline_ms, apply_ms[0], apply_ms[1], apply_ms[2],
-          apply_ms[2] > 0.0 ? baseline_ms / apply_ms[2] : 0.0,
-          parallel_delta > 0 ? static_cast<double>(lanes_delta) /
-                                   static_cast<double>(parallel_delta)
-                             : 0.0,
-          static_cast<unsigned long long>(parallel_delta),
-          static_cast<unsigned long long>(serial_delta),
-          static_cast<unsigned long long>(abort_delta));
+          apply_ms[2] > 0.0 ? baseline_ms / apply_ms[2] : 0.0);
       cells += cell;
     }
 
     // Print-only: per-block apply against state size, 1 thread, 0% conflict,
-    // metrics off. (With metrics on, every block also publishes supply
-    // gauges that walk all accounts, which the rows above include.) The
-    // incremental state root keeps apply nearly flat in the account count.
-    // Not recorded in BENCH_parallel.json.
+    // metrics off. The incremental state root and the running supply total
+    // keep apply nearly flat in the account count. Not recorded in
+    // BENCH_parallel.json.
     obs::SetMetricsEnabled(false);
     std::printf("%10s %8s %12s %12s   (1 thread, 0%% conflict, metrics off)\n",
                 "accounts", "threads", "apply ms", "digest ms");
@@ -994,9 +958,9 @@ int main() {
             ",\n    \"hardware_threads\": " +
             std::to_string(common::ThreadPool::DefaultThreadCount()) +
             ",\n    \"note\": \"sequential baseline = per-entry signature "
-            "verification + strictly serial execution (the pre-lane "
-            "pipeline); on a single-core host thread scaling is flat and "
-            "the speedup is delivered by batched Schnorr verification\","
+            "verification + serial execution; transactions always execute "
+            "serially, so the speedup is delivered by batched Schnorr "
+            "verification on the pool\","
             "\n    \"cells\": [" +
             cells + "\n    ]\n  }");
     std::printf("wrote BENCH_parallel.json (parallel_exec section)\n");

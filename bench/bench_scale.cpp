@@ -3,16 +3,17 @@
 //
 // The headline claim: the timer-wheel DES sustains simulator node counts
 // three orders of magnitude past the paper experiments (E2/E3 run at tens
-// of nodes) on a single CI host, in minutes, while staying bit-identical
-// at 1 vs N worker threads. Each sweep cell runs a seeded push-epidemic
+// of nodes) on a single CI host, in minutes, on one thread, with every run
+// a pure function of its seed. Each sweep cell runs a seeded push-epidemic
 // (dml::RumorNode) under fault-injected churn and reports events/sec,
 // sim-time to 99.9% infection of the surviving fleet, and the churn
-// transition count. The determinism cell reruns one configuration at 1 and
-// N threads and compares exact trajectories.
+// transition count. The determinism cell reruns one configuration with the
+// same seed (exact trajectories must match) and with the next seed (they
+// must not).
 //
 // Writes the "scale" section (plus metadata) of BENCH_scale.json;
 // scripts/check_bench_schema.py enforces the acceptance floors (>=10^5
-// nodes swept, events/sec floor, deterministic_across_threads).
+// nodes swept, events/sec floor, deterministic_across_runs).
 //
 // The 10^6-node smoke cell is on by default but skippable with
 // PDS2_SCALE_NO_MILLION=1 for quick reruns; it measures raw event
@@ -26,7 +27,6 @@
 
 #include "bench_util.h"
 #include "common/fault.h"
-#include "common/thread_pool.h"
 #include "dml/fault_injector.h"
 #include "dml/netsim.h"
 #include "dml/rumor.h"
@@ -66,14 +66,12 @@ uint64_t Fingerprint(const std::vector<dml::RumorNode*>& nodes,
 
 /// One sweep cell: `num_nodes` rumor nodes under seeded churn, run until
 /// the epidemic reaches 99.9% of nodes or `max_sim` passes.
-CellResult RunCell(size_t num_nodes, size_t threads, SimTime max_sim,
-                   bool with_churn, uint64_t seed) {
+CellResult RunCell(size_t num_nodes, SimTime max_sim, bool with_churn,
+                   uint64_t seed) {
   dml::NetConfig net;
   net.drop_rate = 0.01;
   net.bandwidth_bytes_per_sec = 0;  // one-byte rumors; latency dominates
   dml::NetSim sim(net, seed);
-  common::ThreadPool pool(threads);
-  sim.EnableParallel(&pool, /*batch_window=*/1 * kMicrosPerMilli);
   sim.Reserve(num_nodes + 1);
 
   dml::RumorConfig rumor;
@@ -135,22 +133,20 @@ CellResult RunCell(size_t num_nodes, size_t threads, SimTime max_sim,
 }  // namespace
 
 int main() {
-  bench::Banner("E18: NetSim at scale (timer wheel + parallel partitions)",
+  bench::Banner("E18: NetSim at scale (timer wheel, one thread)",
                 "10^5-node churn+rumor sweep in minutes on one host, "
-                "bit-identical at 1 vs N threads, 10^6-node smoke");
-  const size_t threads = common::ThreadPool::DefaultThreadCount();
+                "reproducible per seed, 10^6-node smoke");
 
   // --- (a) churn + convergence sweep up to 10^5 nodes. ----------------------
   const std::vector<size_t> sweep_nodes = {1'000, 10'000, 100'000};
-  std::printf("\n-- (a) churn + rumor convergence sweep (%zu threads) --\n",
-              threads);
+  std::printf("\n-- (a) churn + rumor convergence sweep --\n");
   std::printf("%9s %12s %10s %14s %12s %10s\n", "nodes", "events", "wall ms",
               "events/s", "converge s", "infected");
   std::vector<CellResult> sweep;
   for (const size_t n : sweep_nodes) {
     const CellResult cell =
-        RunCell(n, threads, /*max_sim=*/30 * kMicrosPerSecond,
-                /*with_churn=*/true, /*seed=*/1800 + n);
+        RunCell(n, /*max_sim=*/30 * kMicrosPerSecond, /*with_churn=*/true,
+                /*seed=*/1800 + n);
     sweep.push_back(cell);
     std::printf("%9zu %12llu %10.1f %14.0f %12.2f %9.1f%%\n", cell.nodes,
                 static_cast<unsigned long long>(cell.events), cell.wall_ms,
@@ -164,27 +160,33 @@ int main() {
                        })
           ->events_per_sec;
 
-  // --- (b) determinism: same cell at 1 vs N threads. ------------------------
-  std::printf("\n-- (b) determinism at 10^4 nodes: 1 vs %zu threads --\n",
-              std::max<size_t>(threads, 2));
-  const CellResult one =
-      RunCell(10'000, 1, 10 * kMicrosPerSecond, true, /*seed=*/1881);
-  const CellResult many = RunCell(10'000, std::max<size_t>(threads, 2),
-                                  10 * kMicrosPerSecond, true, /*seed=*/1881);
-  const bool deterministic = one.fingerprint == many.fingerprint &&
-                             one.events == many.events;
-  std::printf("fingerprints %016llx vs %016llx -> %s\n",
-              static_cast<unsigned long long>(one.fingerprint),
-              static_cast<unsigned long long>(many.fingerprint),
-              deterministic ? "bit-identical" : "DIVERGED");
+  // --- (b) determinism: same cell twice, then with the next seed. ----------
+  std::printf("\n-- (b) determinism at 10^4 nodes: seed 1881 twice, 1882 --\n");
+  const CellResult first =
+      RunCell(10'000, 10 * kMicrosPerSecond, true, /*seed=*/1881);
+  const CellResult again =
+      RunCell(10'000, 10 * kMicrosPerSecond, true, /*seed=*/1881);
+  const CellResult next =
+      RunCell(10'000, 10 * kMicrosPerSecond, true, /*seed=*/1882);
+  // Same seed must reproduce the trajectory; the next seed must not, or the
+  // fingerprint would be blind to the run it claims to pin.
+  const bool deterministic = first.fingerprint == again.fingerprint &&
+                             first.events == again.events &&
+                             first.fingerprint != next.fingerprint;
+  std::printf("fingerprints %016llx / %016llx (same seed), %016llx (next) "
+              "-> %s\n",
+              static_cast<unsigned long long>(first.fingerprint),
+              static_cast<unsigned long long>(again.fingerprint),
+              static_cast<unsigned long long>(next.fingerprint),
+              deterministic ? "reproducible" : "NOT REPRODUCIBLE");
 
   // --- (c) 10^6-node smoke: raw throughput, no convergence wait. ------------
   const bool run_million = std::getenv("PDS2_SCALE_NO_MILLION") == nullptr;
   CellResult million;
   if (run_million) {
     std::printf("\n-- (c) 10^6-node smoke (2 sim-seconds, no churn) --\n");
-    million = RunCell(1'000'000, threads, 2 * kMicrosPerSecond,
-                      /*with_churn=*/false, /*seed=*/1806);
+    million = RunCell(1'000'000, 2 * kMicrosPerSecond, /*with_churn=*/false,
+                      /*seed=*/1806);
     std::printf("%9zu %12llu %10.1f %14.0f\n", million.nodes,
                 static_cast<unsigned long long>(million.events),
                 million.wall_ms, million.events_per_sec);
@@ -215,7 +217,7 @@ int main() {
       "    \"sweep\": [\n%s\n    ],\n"
       "    \"max_nodes\": %zu,\n"
       "    \"max_events_per_sec\": %.0f,\n"
-      "    \"deterministic_across_threads\": %s,\n"
+      "    \"deterministic_across_runs\": %s,\n"
       "    \"million_smoke\": {\"ran\": %s, \"nodes\": %zu, "
       "\"events\": %llu, \"wall_ms\": %.1f, \"events_per_sec\": %.0f}\n"
       "  }",

@@ -58,7 +58,7 @@ uint64_t Blockchain::TotalSupply() const {
 }
 
 void Blockchain::PublishSupplyGauges() const {
-  PDS2_M_GAUGE_SET("chain.supply.circulating", state_.TotalBalance());
+  PDS2_M_GAUGE_SET("chain.supply.circulating", state_.RunningTotalBalance());
   PDS2_M_GAUGE_SET("chain.supply.staked", state_.TotalStaked());
   PDS2_M_GAUGE_SET("chain.supply.burned", state_.BurnedTotal());
   PDS2_M_GAUGE_SET("chain.supply.genesis", genesis_minted_);
@@ -108,10 +108,6 @@ constexpr size_t kMaxVerifiedTxCacheEntries = 1 << 17;
 // over enough points to beat per-entry verification. Chunks never shrink
 // under this size.
 constexpr size_t kMinSignatureBatch = 16;
-
-// Below this many transactions the lane-planning pre-pass costs more than
-// any conceivable parallel win; execute sequentially.
-constexpr size_t kMinParallelBlockTxs = 4;
 
 // Structural shape every evidence transaction must have: only the "submit"
 // method exists, and the fee exemption is all-or-nothing — an evidence tx
@@ -304,7 +300,7 @@ const Bytes& Blockchain::ProposerAt(common::SimTime timestamp) const {
   return validators_[(blocks_.size() + shift) % validators_.size()];
 }
 
-Receipt Blockchain::ExecuteTransactionOn(StateView& state,
+Receipt Blockchain::ExecuteTransactionOn(WorldState& state,
                                          uint64_t* next_instance_id,
                                          const Transaction& tx,
                                          uint64_t block_number,
@@ -439,7 +435,7 @@ Receipt Blockchain::ExecuteTransactionOn(StateView& state,
   return receipt;
 }
 
-Receipt Blockchain::ExecuteEvidenceOn(StateView& state, const Transaction& tx,
+Receipt Blockchain::ExecuteEvidenceOn(WorldState& state, const Transaction& tx,
                                       uint64_t block_number) const {
   Receipt receipt;
   receipt.tx_id = tx.Id();
@@ -502,114 +498,15 @@ Receipt Blockchain::ExecuteEvidenceOn(StateView& state, const Transaction& tx,
   return receipt;
 }
 
-std::vector<AccessSet> Blockchain::ComputeAccessSets(
-    const std::vector<Transaction>& txs, uint64_t block_number,
-    common::SimTime timestamp) {
-  PDS2_TRACE_SPAN("chain.parallel.plan");
-  std::vector<AccessSet> sets(txs.size());
-  for (size_t i = 0; i < txs.size(); ++i) {
-    const Transaction& tx = txs[i];
-    if (tx.payload().IsPlainTransfer()) {
-      // Transfers declare their footprint exactly; a malformed recipient
-      // still only over-approximates (supersets merely merge lanes).
-      sets[i].accounts.insert(tx.SenderAddress());
-      if (tx.to().size() == kAddressSize) sets[i].accounts.insert(tx.to());
-    } else if (tx.payload().contract == kEvidenceContract) {
-      // Evidence declares its footprint exactly: the reporter's account
-      // (nonce bump + bounty), the stake ledger and the evidence markers.
-      sets[i].accounts.insert(tx.SenderAddress());
-      sets[i].spaces.insert(kStakeSpace);
-      sets[i].spaces.insert(kEvidenceSpace);
-    } else if (tx.payload().method == "deploy") {
-      // Deploys allocate the shared instance-id counter; serialize the
-      // whole block rather than model that dependency.
-      sets[i].global = true;
-    } else {
-      // Contract call: run it against the pre-block state under a tracing
-      // view inside a checkpoint that is always rolled back. The traced
-      // footprint can diverge from the real one once earlier block txs
-      // mutate state — lane execution validates accesses at runtime and
-      // aborts to the sequential path on any miss.
-      AccessTracingView tracing(state_, &sets[i]);
-      uint64_t scratch_instance_id = next_instance_id_;
-      state_.Begin();
-      ExecuteTransactionOn(tracing, &scratch_instance_id, tx, block_number,
-                           timestamp);
-      state_.Rollback();
-    }
-  }
-  return sets;
-}
-
-bool Blockchain::TryExecuteLanes(const std::vector<Transaction>& txs,
-                                 uint64_t block_number,
-                                 common::SimTime timestamp,
-                                 common::ThreadPool* pool,
-                                 std::vector<Receipt>* receipts) {
-  const std::vector<AccessSet> sets =
-      ComputeAccessSets(txs, block_number, timestamp);
-  const std::vector<std::vector<size_t>> lanes = PartitionIntoLanes(sets);
-  if (lanes.size() <= 1) return false;
-
-  // One private overlay view per lane over the frozen pre-block state.
-  std::vector<LaneStateView> views;
-  views.reserve(lanes.size());
-  for (const std::vector<size_t>& lane : lanes) {
-    AccessSet merged;
-    for (size_t i : lane) merged.Merge(sets[i]);
-    views.emplace_back(state_, std::move(merged));
-  }
-
-  std::vector<Receipt> lane_receipts(txs.size());
-  const obs::TraceContext parent_ctx = obs::CurrentTraceContext();
-  pool->ParallelFor(0, lanes.size(), [&](size_t li) {
-    obs::TraceContextScope causal_parent(parent_ctx);
-    PDS2_TRACE_SPAN("chain.parallel.lane");
-    // No deploys reach the lane path (they are global), so the instance-id
-    // counter is read-only here; a per-lane copy keeps the executor
-    // oblivious.
-    uint64_t scratch_instance_id = next_instance_id_;
-    for (size_t i : lanes[li]) {
-      lane_receipts[i] = ExecuteTransactionOn(views[li], &scratch_instance_id,
-                                              txs[i], block_number, timestamp);
-    }
-  });
-
-  for (const LaneStateView& view : views) {
-    if (view.violated()) {
-      // A transaction strayed outside its traced footprint. Nothing has
-      // touched state_ yet: drop every overlay and let the caller re-run
-      // the block sequentially.
-      PDS2_M_COUNT("chain.parallel.aborts", 1);
-      return false;
-    }
-  }
-  // Lane footprints are pairwise disjoint, so merge order cannot matter;
-  // lane order keeps it deterministic anyway.
-  for (const LaneStateView& view : views) view.MergeInto(&state_);
-  *receipts = std::move(lane_receipts);
-  PDS2_M_COUNT("chain.parallel.blocks_parallel", 1);
-  PDS2_M_COUNT("chain.parallel.lanes", lanes.size());
-  return true;
-}
-
 std::vector<Receipt> Blockchain::ExecuteBlockTxs(
     const std::vector<Transaction>& txs, uint64_t block_number,
     common::SimTime timestamp) {
   PDS2_TRACE_SPAN("chain.execute_block_txs");
   std::vector<Receipt> receipts;
-  common::ThreadPool* pool = ExecutionPool();
-  bool parallel = false;
-  if (pool->NumThreads() > 1 && txs.size() >= kMinParallelBlockTxs) {
-    parallel = TryExecuteLanes(txs, block_number, timestamp, pool, &receipts);
-  }
-  if (!parallel) {
-    PDS2_M_COUNT("chain.parallel.blocks_serial", 1);
-    receipts.reserve(txs.size());
-    for (const Transaction& tx : txs) {
-      receipts.push_back(ExecuteTransactionOn(state_, &next_instance_id_, tx,
-                                              block_number, timestamp));
-    }
+  receipts.reserve(txs.size());
+  for (const Transaction& tx : txs) {
+    receipts.push_back(ExecuteTransactionOn(state_, &next_instance_id_, tx,
+                                            block_number, timestamp));
   }
 
   uint64_t block_gas = 0;
@@ -748,8 +645,7 @@ Status Blockchain::ApplyExternalBlockInner(const Block& block) {
   // Byzantine proposer can sign a block whose state_root does not match its
   // own transactions, and rejecting it must leave no trace (no mutated
   // balances, no receipts, no counter drift), or the replica silently forks
-  // from every honest peer. Lane merges are journaled writes, so one outer
-  // checkpoint covers the parallel path too.
+  // from every honest peer.
   const uint64_t saved_gas_used = total_gas_used_;
   const uint64_t saved_instance_id = next_instance_id_;
   state_.Begin();
@@ -843,7 +739,8 @@ Bytes Blockchain::EncodeSnapshotState() const {
 
 Status Blockchain::RestoreFromSnapshot(const Bytes& snapshot_state,
                                        std::vector<Block> history) {
-  if (!blocks_.empty() || mempool_.Size() != 0 || state_.TotalBalance() != 0) {
+  if (!blocks_.empty() || mempool_.Size() != 0 ||
+      state_.RunningTotalBalance() != 0) {
     return Status::FailedPrecondition(
         "snapshot restore requires a freshly constructed chain");
   }

@@ -11,7 +11,6 @@
 #include "chain/contract.h"
 #include "chain/gas.h"
 #include "chain/mempool.h"
-#include "chain/parallel_exec.h"
 #include "chain/state.h"
 #include "chain/transaction.h"
 #include "common/result.h"
@@ -60,18 +59,18 @@ struct ChainConfig {
   uint64_t block_gas_limit = 100'000'000;  // per-block execution budget
   /// Accountability deposit per validator. When > 0, the constructor mints
   /// this amount to every validator address and immediately bonds it (the
-  /// stake ledger, StateView::StakeOf), counted against the genesis supply
+  /// stake ledger, WorldState::StakeOf), counted against the genesis supply
   /// cap. Accepted equivocation evidence slashes the offender's full bond.
   /// 0 (the default) leaves genesis state byte-identical to older chains.
   uint64_t validator_stake = 0;
   /// Share of a slashed stake paid to the evidence reporter, in basis
   /// points; the remainder is burned.
   uint32_t slash_reporter_bps = 5'000;
-  /// Optional pool for parallel block validation (signature batches + tx
-  /// root) and optimistic parallel transaction execution. nullptr uses the
-  /// process-wide ThreadPool::Global(); a 1-thread pool follows the
-  /// sequential code path exactly. Any pool size yields bit-identical
-  /// blocks, receipts and state (see DESIGN.md "Parallel execution").
+  /// Optional pool for parallel block validation (batched signature checks
+  /// and the tx root). nullptr uses the process-wide ThreadPool::Global();
+  /// a 1-thread pool follows the sequential code path exactly. Transactions
+  /// always execute sequentially, so any pool size yields bit-identical
+  /// blocks, receipts and state (see DESIGN.md "Concurrency model").
   common::ThreadPool* thread_pool = nullptr;
   /// Mempool shape (shard count, admission bound).
   Mempool::Config mempool;
@@ -91,15 +90,12 @@ struct ChainConfig {
 /// The PDS2 governance blockchain: an account-based ledger with
 /// proof-of-authority consensus (a fixed validator set proposing in
 /// round-robin order) executing native C++ contracts with Ethereum-style
-/// gas accounting. Execution semantics are sequential and deterministic by
-/// design — it is the ground truth of the marketplace simulation — but the
-/// implementation may run non-conflicting transactions concurrently:
-/// blocks are partitioned into conflict lanes by access set and executed
-/// optimistically on a ThreadPool, with a sequential re-run whenever a
-/// transaction strays outside its inferred footprint. Every pool size
-/// (including none) produces bit-identical receipts, state and block
-/// hashes: see ChainConfig::thread_pool and DESIGN.md "Parallel
-/// execution".
+/// gas accounting. Transactions execute sequentially and deterministically
+/// in block order — the chain is the ground truth of the marketplace
+/// simulation. Only validation fans out on a ThreadPool (batched signature
+/// checks, the tx root), so every pool size (including none) produces
+/// bit-identical receipts, state and block hashes: see
+/// ChainConfig::thread_pool and DESIGN.md "Concurrency model".
 class Blockchain {
  public:
   Blockchain(std::vector<common::Bytes> validator_public_keys,
@@ -219,12 +215,10 @@ class Blockchain {
                                      std::vector<Block> history);
 
  private:
-  /// Executes one transaction against an arbitrary state view. Pure with
-  /// respect to the chain: receipts, gas and instance-id allocation go
-  /// through the arguments, so the same routine serves sequential
-  /// execution on the real WorldState, the access-tracing pre-pass and
-  /// optimistic lane execution. Counters/metrics are the caller's job.
-  Receipt ExecuteTransactionOn(StateView& state, uint64_t* next_instance_id,
+  /// Executes one transaction against `state`. Receipts, gas and
+  /// instance-id allocation go through the arguments; counters/metrics are
+  /// the caller's job.
+  Receipt ExecuteTransactionOn(WorldState& state, uint64_t* next_instance_id,
                                const Transaction& tx, uint64_t block_number,
                                common::SimTime timestamp) const;
 
@@ -232,38 +226,21 @@ class Blockchain {
   /// proof, slashes the offender's full bond (reporter bounty + burn) and
   /// records the (offender, height) marker so the offence cannot be
   /// punished twice. Dispatched from ExecuteTransactionOn.
-  Receipt ExecuteEvidenceOn(StateView& state, const Transaction& tx,
+  Receipt ExecuteEvidenceOn(WorldState& state, const Transaction& tx,
                             uint64_t block_number) const;
 
   /// Publishes the chain.supply.* gauges (circulating/staked/burned/genesis)
   /// after a commit so the health plane can watch supply conservation live.
-  /// No-op (one relaxed load) while metrics are disabled; the O(accounts)
-  /// balance walk only runs when they are on.
+  /// No-op (one relaxed load) while metrics are disabled. Circulating
+  /// supply comes from WorldState's running balance total, so no gauge
+  /// walks the accounts; only the small stake space is scanned.
   void PublishSupplyGauges() const;
 
-  /// Access set per transaction: declared for plain transfers, inferred by
-  /// a rolled-back tracing execution for contract calls, global for
-  /// deploys (they allocate the shared instance-id counter).
-  std::vector<AccessSet> ComputeAccessSets(
-      const std::vector<Transaction>& txs, uint64_t block_number,
-      common::SimTime timestamp);
-
-  /// Executes a block's transactions — in parallel conflict lanes when a
-  /// multi-thread pool is available and the block splits, sequentially
-  /// otherwise — and returns the receipts in transaction order. Updates
-  /// total gas and execution metrics exactly once per transaction.
+  /// Executes a block's transactions in order and returns the receipts.
+  /// Updates total gas and execution metrics exactly once per transaction.
   std::vector<Receipt> ExecuteBlockTxs(const std::vector<Transaction>& txs,
                                        uint64_t block_number,
                                        common::SimTime timestamp);
-
-  /// The optimistic lane path of ExecuteBlockTxs. False (with no state
-  /// mutated) when the block does not split into >1 lane or any lane
-  /// violated its access set; true after overlays merged and `*receipts`
-  /// holds the per-transaction results.
-  bool TryExecuteLanes(const std::vector<Transaction>& txs,
-                       uint64_t block_number, common::SimTime timestamp,
-                       common::ThreadPool* pool,
-                       std::vector<Receipt>* receipts);
 
   /// ApplyExternalBlock's validation/execution body; the public wrapper
   /// adds the applied/rejected accounting around it.

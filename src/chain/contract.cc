@@ -15,7 +15,7 @@ using common::Bytes;
 using common::Result;
 using common::Status;
 
-CallContext::CallContext(StateView& state, GasMeter& gas, Address sender,
+CallContext::CallContext(WorldState& state, GasMeter& gas, Address sender,
                          uint64_t value, std::string contract_name,
                          uint64_t instance, const BlockContext& block,
                          std::vector<Event>* events)

@@ -34,7 +34,7 @@ struct Event {
 /// the contract instance's namespace.
 class CallContext {
  public:
-  CallContext(StateView& state, GasMeter& gas, Address sender, uint64_t value,
+  CallContext(WorldState& state, GasMeter& gas, Address sender, uint64_t value,
               std::string contract_name, uint64_t instance,
               const BlockContext& block, std::vector<Event>* events);
 
@@ -64,7 +64,7 @@ class CallContext {
 
   /// Destroys `amount` native tokens out of the contract's own balance:
   /// the funds move to the global burned-total record (see
-  /// StateView::BurnedTotal), never to any account. Used by slashing paths
+  /// WorldState::BurnedTotal), never to any account. Used by slashing paths
   /// so confiscated escrow provably leaves circulation while total supply
   /// (balances + stakes + burned) stays exactly conserved.
   common::Status Burn(uint64_t amount);
@@ -76,10 +76,10 @@ class CallContext {
   /// The contract instance's own account address (escrow holder).
   Address SelfAddress() const;
   GasMeter& gas() { return gas_; }
-  StateView& state() { return state_; }
+  WorldState& state() { return state_; }
 
  private:
-  StateView& state_;
+  WorldState& state_;
   GasMeter& gas_;
   Address sender_;
   uint64_t value_;

@@ -473,7 +473,7 @@ Result<Bytes> WorkloadContract::Call(CallContext& ctx,
     // consumer-reported attestation mismatch) forfeits it: half
     // compensates the consumer, the remainder is burned out of circulation
     // (total supply = balances + stakes + burned stays exactly conserved;
-    // see StateView::BurnedTotal). Silence is NOT slashed: a crashed
+    // see WorldState::BurnedTotal). Silence is NOT slashed: a crashed
     // executor is indistinguishable from a partitioned honest one, so a
     // missing vote only forfeits the reward share, never the bond.
     PDS2_ASSIGN_OR_RETURN(auto agreed_result, ctx.Read(ToBytes("result")));

@@ -153,11 +153,11 @@ void HashSpace(const std::map<Bytes, Bytes>& slots,
 
 }  // namespace
 
-uint64_t StateView::StakeOf(const Address& addr) const {
+uint64_t WorldState::StakeOf(const Address& addr) const {
   return DecodeStakeAmount(StorageGet(kStakeSpace, addr));
 }
 
-Status StateView::StakeBond(const Address& addr, uint64_t amount) {
+Status WorldState::StakeBond(const Address& addr, uint64_t amount) {
   uint64_t new_stake;
   if (!common::CheckedAdd(StakeOf(addr), amount, &new_stake)) {
     return Status::InvalidArgument("bond would overflow stake record");
@@ -167,7 +167,7 @@ Status StateView::StakeBond(const Address& addr, uint64_t amount) {
   return Status::Ok();
 }
 
-Status StateView::StakeRelease(const Address& addr, uint64_t amount) {
+Status WorldState::StakeRelease(const Address& addr, uint64_t amount) {
   const uint64_t stake = StakeOf(addr);
   if (stake < amount) {
     return Status::InsufficientFunds("stake below release amount");
@@ -181,8 +181,8 @@ Status StateView::StakeRelease(const Address& addr, uint64_t amount) {
   return Status::Ok();
 }
 
-Status StateView::StakeSlash(const Address& offender, uint64_t amount,
-                             const Address& reporter, uint32_t reporter_bps) {
+Status WorldState::StakeSlash(const Address& offender, uint64_t amount,
+                              const Address& reporter, uint32_t reporter_bps) {
   if (reporter_bps > kSlashBpsDenominator) {
     return Status::InvalidArgument("reporter share above 100%");
   }
@@ -210,11 +210,11 @@ Status StateView::StakeSlash(const Address& offender, uint64_t amount,
   return Status::Ok();
 }
 
-uint64_t StateView::BurnedTotal() const {
+uint64_t WorldState::BurnedTotal() const {
   return DecodeStakeAmount(StorageGet(kStakeSpace, BurnedKeyBytes()));
 }
 
-uint64_t StateView::TotalStaked() const {
+uint64_t WorldState::TotalStaked() const {
   uint64_t total = 0;
   for (const auto& [key, value] : StorageScan(kStakeSpace, {})) {
     if (key.size() != kAddressSize) continue;  // skip the burned-total record
@@ -275,6 +275,7 @@ Status WorldState::Credit(const Address& addr, uint64_t amount) {
   JournalAccount(addr);
   MarkAccountDirty(addr);
   accounts_[addr].balance = new_balance;
+  balance_total_ += amount;
   return Status::Ok();
 }
 
@@ -286,6 +287,7 @@ Status WorldState::Debit(const Address& addr, uint64_t amount) {
   JournalAccount(addr);
   MarkAccountDirty(addr);
   it->second.balance -= amount;
+  balance_total_ -= amount;
   return Status::Ok();
 }
 
@@ -308,16 +310,13 @@ void WorldState::BumpNonce(const Address& addr) {
   accounts_[addr].nonce += 1;
 }
 
-std::optional<Account> WorldState::GetAccount(const Address& addr) const {
-  auto it = accounts_.find(addr);
-  if (it == accounts_.end()) return std::nullopt;
-  return it->second;
-}
-
 void WorldState::PutAccount(const Address& addr, const Account& account) {
   JournalAccount(addr);
   MarkAccountDirty(addr);
-  accounts_[addr] = account;
+  Account& slot = accounts_[addr];
+  balance_total_ -= slot.balance;
+  balance_total_ += account.balance;
+  slot = account;
 }
 
 std::optional<Bytes> WorldState::StorageGet(const std::string& space,
@@ -388,8 +387,10 @@ void WorldState::Rollback() {
     const JournalEntry& entry = journal_.back();
     if (entry.kind == JournalEntry::Kind::kAccount) {
       MarkAccountDirty(entry.addr);
+      balance_total_ -= GetBalance(entry.addr);
       if (entry.prior_account.has_value()) {
         accounts_[entry.addr] = *entry.prior_account;
+        balance_total_ += entry.prior_account->balance;
       } else {
         accounts_.erase(entry.addr);
       }
@@ -420,6 +421,11 @@ uint64_t WorldState::TotalBalance() const {
     total = common::SaturatingAdd(total, account.balance);
   }
   return total;
+}
+
+uint64_t WorldState::RunningTotalBalance() const {
+  return balance_total_ > UINT64_MAX ? UINT64_MAX
+                                     : static_cast<uint64_t>(balance_total_);
 }
 
 common::Bytes WorldState::SerializeSnapshot() const {
@@ -456,6 +462,7 @@ common::Result<WorldState> WorldState::DeserializeSnapshot(
     if (!state.accounts_.emplace(std::move(addr), account).second) {
       return Status::Corruption("duplicate account in state snapshot");
     }
+    state.balance_total_ += account.balance;
   }
   PDS2_ASSIGN_OR_RETURN(uint64_t num_spaces, r.GetU64());
   for (uint64_t i = 0; i < num_spaces; ++i) {

@@ -21,8 +21,8 @@ struct Account {
 
 /// Reserved storage space holding the stake ledger: 20-byte address keys map
 /// to u64 bonded amounts, plus the (non-address-sized) burned-total key. The
-/// space lives in ordinary contract storage, so journaling, digests,
-/// snapshots and lane overlays all cover it with no special cases.
+/// space lives in ordinary contract storage, so journaling, digests and
+/// snapshots all cover it with no special cases.
 inline constexpr char kStakeSpace[] = "pds2.stake";
 /// Key under kStakeSpace accumulating burned (slashed-and-destroyed) tokens.
 /// Deliberately not 20 bytes long, so it can never collide with an address.
@@ -30,47 +30,93 @@ inline constexpr char kBurnedKey[] = "burned-total";
 /// Denominator of the reporter's share of a slash (basis points).
 inline constexpr uint32_t kSlashBpsDenominator = 10'000;
 
-/// Abstract ledger surface transaction execution runs against. WorldState
-/// is the canonical implementation; the parallel executor substitutes
-/// per-lane overlay views (see parallel_exec.h) that buffer writes and
-/// validate the inferred access sets, so the same execution code serves
-/// both the sequential and the optimistic-parallel paths.
-class StateView {
+/// The replicated ledger state: native-token accounts plus raw contract
+/// storage. Transactions execute directly against it, one after another.
+/// Mutations are journaled so a failed transaction can be rolled back
+/// precisely (only the keys it touched are restored).
+class WorldState {
  public:
-  virtual ~StateView() = default;
+  WorldState() = default;
 
-  // Accounts.
-  virtual uint64_t GetBalance(const Address& addr) const = 0;
-  virtual uint64_t GetNonce(const Address& addr) const = 0;
-  virtual common::Status Credit(const Address& addr, uint64_t amount) = 0;
-  virtual common::Status Debit(const Address& addr, uint64_t amount) = 0;
-  virtual common::Status Transfer(const Address& from, const Address& to,
-                                  uint64_t amount) = 0;
-  virtual void BumpNonce(const Address& addr) = 0;
+  // --- Accounts -----------------------------------------------------------
 
-  // Contract storage.
-  virtual std::optional<common::Bytes> StorageGet(
-      const std::string& space, const common::Bytes& key) const = 0;
-  virtual bool StoragePut(const std::string& space, const common::Bytes& key,
-                          const common::Bytes& value) = 0;
-  virtual void StorageDelete(const std::string& space,
-                             const common::Bytes& key) = 0;
-  virtual std::vector<std::pair<common::Bytes, common::Bytes>> StorageScan(
-      const std::string& space, const common::Bytes& prefix) const = 0;
+  /// Balance of `addr` (0 for unknown accounts).
+  uint64_t GetBalance(const Address& addr) const;
+  /// Current nonce of `addr` (0 for unknown accounts).
+  uint64_t GetNonce(const Address& addr) const;
+  /// Credits an account (used for genesis allocations, block rewards and
+  /// gas refunds). Guarded: InvalidArgument when the credit would wrap the
+  /// balance past uint64, leaving the account untouched. Transfers and fee
+  /// credits can never trip the guard (conservation bounds every balance by
+  /// the total supply, which CreditGenesis caps below uint64), so callers
+  /// on those paths may assert success.
+  common::Status Credit(const Address& addr, uint64_t amount);
+  /// Debits; InsufficientFunds if the balance is too small.
+  common::Status Debit(const Address& addr, uint64_t amount);
+  /// Atomic transfer from -> to.
+  common::Status Transfer(const Address& from, const Address& to,
+                          uint64_t amount);
+  /// Increments the account nonce.
+  void BumpNonce(const Address& addr);
+  /// Installs an account record verbatim (journaled like any mutation).
+  void PutAccount(const Address& addr, const Account& account);
 
-  // Journaling (transaction checkpoint scope).
-  virtual void Begin() = 0;
-  virtual void Commit() = 0;
-  virtual void Rollback() = 0;
+  // --- Contract storage ----------------------------------------------------
+
+  /// Reads a storage slot; nullopt when unset.
+  std::optional<common::Bytes> StorageGet(
+      const std::string& space, const common::Bytes& key) const;
+  /// Writes a storage slot. Returns true if the slot already existed
+  /// (drives the cheaper "update" gas price).
+  bool StoragePut(const std::string& space, const common::Bytes& key,
+                  const common::Bytes& value);
+  /// Deletes a slot (no-op if absent).
+  void StorageDelete(const std::string& space, const common::Bytes& key);
+  /// All (key, value) pairs in a namespace whose key starts with `prefix`,
+  /// in key order. Used by read-only enumeration queries.
+  std::vector<std::pair<common::Bytes, common::Bytes>> StorageScan(
+      const std::string& space, const common::Bytes& prefix) const;
+
+  // --- Journaling -----------------------------------------------------------
+
+  /// Opens a nested checkpoint. Every mutation after this point can be
+  /// undone with Rollback or kept with Commit.
+  void Begin();
+  /// Discards the most recent checkpoint, keeping its mutations.
+  void Commit();
+  /// Undoes all mutations since the most recent checkpoint.
+  void Rollback();
+  /// Depth of open checkpoints (0 outside any transaction).
+  size_t CheckpointDepth() const { return checkpoints_.size(); }
+
+  /// Commitment to the full state, included in block headers as the state
+  /// root: a binary Merkle tree over 2^k address-prefix buckets of
+  /// accounts, combined with one hash per non-empty storage space (exact
+  /// encoding: docs/PROTOCOL.md "State root"). The bucket and space hashes
+  /// are cached and every mutation (Rollback included) marks what it
+  /// touched, so a call re-hashes only the buckets and spaces changed since
+  /// the previous call plus their tree paths. A change of k (it follows the
+  /// account count) rebuilds the tree once. Refreshing the cache makes this
+  /// a writer: do not call it concurrently with any other WorldState method.
+  Hash Digest() const;
+
+  /// Sum of all account balances — the circulating native supply — by a
+  /// walk over every account; the reference RunningTotalBalance() is tested
+  /// against. Only genesis allocations create tokens, so the total moves
+  /// only with stake bonds, releases and slashes (fees merely move value to
+  /// the proposer); the audit tests assert it.
+  uint64_t TotalBalance() const;
+  /// TotalBalance() in O(1): a running sum that every account write keeps
+  /// current, Rollback and DeserializeSnapshot included. Both saturate at
+  /// uint64 max for a hand-built state past the genesis cap.
+  uint64_t RunningTotalBalance() const;
 
   // --- Stake ledger ---------------------------------------------------------
-  // Accountability deposits (paper's D2M-style incentive layer). These are
-  // non-virtual helpers layered entirely on the virtual primitives above, so
-  // WorldState, lane overlays and tracing views all support them with
-  // identical semantics: stake lives in the kStakeSpace storage namespace
-  // and bonding/releasing moves value between an account's spendable balance
-  // and its stake record. The conserved quantity is
-  //   TotalBalance() + TotalStaked() + BurnedTotal().
+  // Accountability deposits (paper's D2M-style incentive layer), layered on
+  // the account and storage primitives above: stake lives in the
+  // kStakeSpace storage namespace, and bonding/releasing moves value between
+  // an account's spendable balance and its stake record. The conserved
+  // quantity is TotalBalance() + TotalStaked() + BurnedTotal().
 
   /// Bonded stake of `addr` (0 when none).
   uint64_t StakeOf(const Address& addr) const;
@@ -88,88 +134,6 @@ class StateView {
   uint64_t BurnedTotal() const;
   /// Sum of all bonded stakes.
   uint64_t TotalStaked() const;
-};
-
-/// The replicated ledger state: native-token accounts plus raw contract
-/// storage. Mutations are journaled so a failed transaction can be rolled
-/// back precisely (only the keys it touched are restored).
-class WorldState final : public StateView {
- public:
-  WorldState() = default;
-
-  // --- Accounts -----------------------------------------------------------
-
-  /// Balance of `addr` (0 for unknown accounts).
-  uint64_t GetBalance(const Address& addr) const override;
-  /// Current nonce of `addr` (0 for unknown accounts).
-  uint64_t GetNonce(const Address& addr) const override;
-  /// Credits an account (used for genesis allocations, block rewards and
-  /// gas refunds). Guarded: InvalidArgument when the credit would wrap the
-  /// balance past uint64, leaving the account untouched. Transfers and fee
-  /// credits can never trip the guard (conservation bounds every balance by
-  /// the total supply, which CreditGenesis caps below uint64), so callers
-  /// on those paths may assert success.
-  common::Status Credit(const Address& addr, uint64_t amount) override;
-  /// Debits; InsufficientFunds if the balance is too small.
-  common::Status Debit(const Address& addr, uint64_t amount) override;
-  /// Atomic transfer from -> to.
-  common::Status Transfer(const Address& from, const Address& to,
-                          uint64_t amount) override;
-  /// Increments the account nonce.
-  void BumpNonce(const Address& addr) override;
-  /// Raw account record; nullopt when the account does not exist. The
-  /// existence distinction is observable (created-but-empty accounts are
-  /// committed by Digest()), so overlay views replicate it exactly.
-  std::optional<Account> GetAccount(const Address& addr) const;
-  /// Installs an account record verbatim (journaled like any mutation).
-  /// Used by the parallel executor to merge lane overlays.
-  void PutAccount(const Address& addr, const Account& account);
-
-  // --- Contract storage ----------------------------------------------------
-
-  /// Reads a storage slot; nullopt when unset.
-  std::optional<common::Bytes> StorageGet(
-      const std::string& space, const common::Bytes& key) const override;
-  /// Writes a storage slot. Returns true if the slot already existed
-  /// (drives the cheaper "update" gas price).
-  bool StoragePut(const std::string& space, const common::Bytes& key,
-                  const common::Bytes& value) override;
-  /// Deletes a slot (no-op if absent).
-  void StorageDelete(const std::string& space,
-                     const common::Bytes& key) override;
-  /// All (key, value) pairs in a namespace whose key starts with `prefix`,
-  /// in key order. Used by read-only enumeration queries.
-  std::vector<std::pair<common::Bytes, common::Bytes>> StorageScan(
-      const std::string& space, const common::Bytes& prefix) const override;
-
-  // --- Journaling -----------------------------------------------------------
-
-  /// Opens a nested checkpoint. Every mutation after this point can be
-  /// undone with Rollback or kept with Commit.
-  void Begin() override;
-  /// Discards the most recent checkpoint, keeping its mutations.
-  void Commit() override;
-  /// Undoes all mutations since the most recent checkpoint.
-  void Rollback() override;
-  /// Depth of open checkpoints (0 outside any transaction).
-  size_t CheckpointDepth() const { return checkpoints_.size(); }
-
-  /// Commitment to the full state, included in block headers as the state
-  /// root: a binary Merkle tree over 2^k address-prefix buckets of
-  /// accounts, combined with one hash per non-empty storage space (exact
-  /// encoding: docs/PROTOCOL.md "State root"). The bucket and space hashes
-  /// are cached and every mutation (Rollback included) marks what it
-  /// touched, so a call re-hashes only the buckets and spaces changed since
-  /// the previous call plus their tree paths. A change of k (it follows the
-  /// account count) rebuilds the tree once. Refreshing the cache makes this
-  /// a writer: do not call it concurrently with any other WorldState method.
-  Hash Digest() const;
-
-  /// Sum of all account balances — the circulating native supply. Only
-  /// genesis allocations create tokens, so this is invariant across
-  /// transaction execution (fees merely move value to the proposer); the
-  /// audit tests assert it.
-  uint64_t TotalBalance() const;
 
   // --- Snapshots ------------------------------------------------------------
 
@@ -214,6 +178,9 @@ class WorldState final : public StateView {
   void RefreshAccountTree() const;
 
   std::map<Address, Account> accounts_;
+  /// Exact sum of every balance in accounts_ (RunningTotalBalance). 128 bits
+  /// so that it never wraps, whatever a hand-built state holds.
+  unsigned __int128 balance_total_ = 0;
   std::map<std::string, Space> storage_;
   std::vector<JournalEntry> journal_;
   std::vector<size_t> checkpoints_;  // journal sizes at Begin()

@@ -61,9 +61,6 @@ void FaultInjector::OnMessage(NodeContext& ctx, size_t from,
 void FaultInjector::OnTimer(NodeContext& ctx, uint64_t timer_id) {
   assert(timer_id < plan_.churn.size());
   const common::ChurnEvent& event = plan_.churn[timer_id];
-  // Through the context, not sim_->SetOnline directly: inside a parallel
-  // batch the transition must be deferred to the deterministic merge phase
-  // (a direct call would mutate online_/epoch_ under concurrent readers).
   ctx.SetOnline(event.node, event.restart);
   if (!event.restart) {
     // A node just died: dump the black box so the chaos run leaves a

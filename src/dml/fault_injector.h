@@ -14,12 +14,6 @@ namespace pds2::dml {
 /// corruption queries from FaultPlan::EffectAt. Because the plan is pure
 /// data and the injector draws no randomness of its own, replaying the same
 /// (plan, sim seed) pair reproduces the same run bit for bit.
-///
-/// Works in sequential and parallel mode: churn goes through
-/// NodeContext::SetOnline, which applies immediately in the sequential
-/// loop and defers to the deterministic merge phase inside a parallel
-/// batch, so timer callbacks never mutate shared simulator state from a
-/// worker thread.
 class FaultInjector : public Node, public LinkFaultHook {
  public:
   /// Adds the injector to `sim` (as the highest node index) and installs it

@@ -1,9 +1,7 @@
 #include "dml/netsim.h"
 
-#include <algorithm>
 #include <cassert>
 
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 
 namespace pds2::dml {
@@ -15,83 +13,26 @@ SimTime NodeContext::Now() const { return sim_.Now(); }
 size_t NodeContext::NumNodes() const { return sim_.NumNodes(); }
 bool NodeContext::IsOnline(size_t node) const { return sim_.IsOnline(node); }
 void NodeContext::Send(size_t to, Bytes payload) {
-  if (outbox_ != nullptr) {
-    Outbox::Op op;
-    op.event_index = outbox_->current_event;
-    op.kind = Outbox::OpKind::kSend;
-    op.node = static_cast<uint32_t>(to);
-    op.payload = std::move(payload);
-    op.trace = obs::CurrentTraceContext();
-    outbox_->ops.push_back(std::move(op));
-    return;
-  }
   sim_.SendFrom(self_, to, std::move(payload), obs::CurrentTraceContext());
 }
 void NodeContext::SetTimer(SimTime delay, uint64_t timer_id) {
-  if (outbox_ != nullptr) {
-    Outbox::Op op;
-    op.event_index = outbox_->current_event;
-    op.kind = Outbox::OpKind::kTimer;
-    op.delay = delay;
-    op.timer_id = timer_id;
-    op.trace = obs::CurrentTraceContext();
-    outbox_->ops.push_back(std::move(op));
-    return;
-  }
   sim_.SetTimerFor(self_, delay, timer_id, obs::CurrentTraceContext());
 }
 void NodeContext::SetOnline(size_t node, bool online) {
-  if (outbox_ != nullptr) {
-    Outbox::Op op;
-    op.event_index = outbox_->current_event;
-    op.kind = Outbox::OpKind::kChurn;
-    op.node = static_cast<uint32_t>(node);
-    op.online = online;
-    outbox_->ops.push_back(std::move(op));
-    return;
-  }
   sim_.SetOnline(node, online);
 }
-common::Rng& NodeContext::rng() { return sim_.RngFor(self_); }
-void NodeContext::CountRetry() {
-  if (outbox_ != nullptr) {
-    ++outbox_->retries;
-    return;
-  }
-  sim_.CountRetryFor();
-}
+common::Rng& NodeContext::rng() { return sim_.rng(); }
+void NodeContext::CountRetry() { sim_.CountRetryFor(); }
 
 NetSim::NetSim(NetConfig config, uint64_t seed)
-    : config_(config), rng_(seed) {
-  stat_rows_.resize(1);
-}
+    : config_(config), rng_(seed) {}
 
 void NetSim::Reserve(size_t num_nodes) {
   nodes_.reserve(num_nodes);
   name_ids_.reserve(num_nodes);
   online_.reserve(num_nodes);
   epoch_.reserve(num_nodes);
-  bytes_received_per_node_.reserve(num_nodes);
-  if (pool_ != nullptr) node_rngs_.reserve(num_nodes);
-}
-
-void NetSim::EnableParallel(common::ThreadPool* pool, SimTime batch_window) {
-  assert(!started_);
-  assert(pool != nullptr);
-  pool_ = pool;
-  batch_window_ = batch_window;
-  // Backfill private streams for nodes added before the switch, in index
-  // order — together with the fork in AddNode this keeps every stream a
-  // pure function of (seed, node index) regardless of whether a node was
-  // added before or after EnableParallel.
-  node_rngs_.reserve(nodes_.size());
-  while (node_rngs_.size() < nodes_.size()) node_rngs_.push_back(rng_.Fork());
-}
-
-common::Rng& NetSim::RngFor(size_t node) {
-  if (pool_ == nullptr) return rng_;
-  assert(node < node_rngs_.size());
-  return node_rngs_[node];
+  stats_.bytes_received_per_node.reserve(num_nodes);
 }
 
 size_t NetSim::AddNode(std::unique_ptr<Node> node) {
@@ -100,13 +41,7 @@ size_t NetSim::AddNode(std::unique_ptr<Node> node) {
   name_ids_.push_back(0);
   online_.push_back(true);
   epoch_.push_back(0);
-  bytes_received_per_node_.push_back(0);
-  // Fork this node's private stream immediately (the old code forked all
-  // streams at Start(), so a node added after EnableParallel had no stream
-  // and RngFor read out of bounds). Forking here keeps the stream a pure
-  // function of (seed, node index) and leaves sequential-mode rng_
-  // consumption untouched.
-  if (pool_ != nullptr) node_rngs_.push_back(rng_.Fork());
+  stats_.bytes_received_per_node.push_back(0);
   return nodes_.size() - 1;
 }
 
@@ -127,92 +62,25 @@ std::string NetSim::NodeName(size_t node) const {
   return "node/" + std::to_string(node);
 }
 
-NetStats NetSim::stats() const {
-  NetStats stats;
-  for (const StatRow& row : stat_rows_) {
-    stats.events_processed += row.events_processed;
-    stats.messages_sent += row.messages_sent;
-    stats.messages_delivered += row.messages_delivered;
-    stats.messages_dropped += row.messages_dropped;
-    stats.bytes_sent += row.bytes_sent;
-    stats.partition_drops += row.partition_drops;
-    stats.messages_corrupted += row.messages_corrupted;
-    stats.retries += row.retries;
-    stats.timers_dropped_offline += row.timers_dropped_offline;
-  }
-  stats.bytes_received_per_node = bytes_received_per_node_;
-  return stats;
-}
-
 void NetSim::CountRetryFor() {
-  stat_rows_[0].retries += 1;
+  stats_.retries += 1;
   PDS2_M_COUNT("dml.net.retries", 1);
-}
-
-size_t NetSim::NumPartitions() const {
-  constexpr size_t kMaxPartitions = 64;
-  return std::min(kMaxPartitions, std::max<size_t>(1, nodes_.size()));
-}
-
-size_t NetSim::PartitionOf(size_t node) const {
-  // Contiguous block partitioning: partition p owns node indices
-  // [p*n/P, (p+1)*n/P) — neighbouring nodes share a partition, so one
-  // worker touches one contiguous range of every per-node array.
-  return node * NumPartitions() / nodes_.size();
 }
 
 void NetSim::Start() {
   assert(!started_);
   started_ = true;
-  if (pool_ != nullptr) {
-    const size_t partitions = NumPartitions();
-    stat_rows_.resize(1 + partitions);
-    partition_outboxes_.resize(partitions);
-    partition_events_.resize(partitions);
-  }
   for (size_t i = 0; i < nodes_.size(); ++i) {
     NodeContext ctx(*this, i);
     nodes_[i]->OnStart(ctx);
   }
 }
 
-void NetSim::ScheduleEvent(SimTime time, PdsEvent event) {
-  if (time < queue_.frontier()) {
-    // A windowed parallel batch popped the wheel ahead of the clock; this
-    // event lands behind the frontier. Park it in the retro heap — it is
-    // strictly earlier than everything left in the wheel (see netsim.h).
-    retro_.push_back(RetroEntry{time, retro_seq_++, std::move(event)});
-    std::push_heap(retro_.begin(), retro_.end(), RetroLater{});
-    return;
-  }
-  queue_.Schedule(time, std::move(event));
-}
-
-bool NetSim::NextEventTime(SimTime bound, SimTime* time) {
-  if (!retro_.empty() && retro_.front().time <= bound) {
-    *time = retro_.front().time;  // always earlier than any wheel event
-    return true;
-  }
-  return queue_.PeekNextTime(bound, time);
-}
-
-bool NetSim::PopNext(SimTime bound, SimTime* time, PdsEvent* event) {
-  if (!retro_.empty() && retro_.front().time <= bound) {
-    std::pop_heap(retro_.begin(), retro_.end(), RetroLater{});
-    *time = retro_.back().time;
-    *event = std::move(retro_.back().event);
-    retro_.pop_back();
-    return true;
-  }
-  return queue_.PopUntil(bound, time, event);
-}
-
 void NetSim::SendFrom(size_t from, size_t to, Bytes payload,
                       obs::TraceContext trace) {
   assert(to < nodes_.size());
-  StatRow& row = stat_rows_[0];
-  row.messages_sent += 1;
-  row.bytes_sent += payload.size();
+  stats_.messages_sent += 1;
+  stats_.bytes_sent += payload.size();
   PDS2_M_COUNT("dml.net.messages_sent", 1);
   PDS2_M_COUNT("dml.net.bytes_sent", payload.size());
 
@@ -220,27 +88,25 @@ void NetSim::SendFrom(size_t from, size_t to, Bytes payload,
   // link outright; link faults stack extra loss / latency / corruption on
   // top of the homogeneous NetConfig link. All RNG draws below are gated on
   // their probability being positive so that runs without faults consume
-  // the exact same stream as before the fault layer existed. SendFrom only
-  // ever runs on the merge/main thread, in event order, so these global
-  // draws are deterministic at any pool size.
+  // the exact same stream as before the fault layer existed.
   LinkFaultHook::Effect effect;
   if (fault_hook_ != nullptr) {
     effect = fault_hook_->OnLink(from, to, clock_.Now());
   }
   if (effect.blocked) {
-    row.partition_drops += 1;
-    row.messages_dropped += 1;
+    stats_.partition_drops += 1;
+    stats_.messages_dropped += 1;
     PDS2_M_COUNT("dml.net.partition_drops", 1);
     PDS2_M_COUNT("dml.net.messages_dropped", 1);
     return;
   }
   if (config_.drop_rate > 0.0 && rng_.NextBool(config_.drop_rate)) {
-    row.messages_dropped += 1;
+    stats_.messages_dropped += 1;
     PDS2_M_COUNT("dml.net.messages_dropped", 1);
     return;
   }
   if (effect.extra_drop > 0.0 && rng_.NextBool(effect.extra_drop)) {
-    row.messages_dropped += 1;
+    stats_.messages_dropped += 1;
     PDS2_M_COUNT("dml.net.messages_dropped", 1);
     return;
   }
@@ -263,7 +129,7 @@ void NetSim::SendFrom(size_t from, size_t to, Bytes payload,
       rng_.NextBool(effect.corrupt_rate)) {
     payload[rng_.NextU64(payload.size())] ^=
         static_cast<uint8_t>(1 + rng_.NextU64(255));
-    row.messages_corrupted += 1;
+    stats_.messages_corrupted += 1;
     PDS2_M_COUNT("dml.net.messages_corrupted", 1);
   }
 
@@ -274,7 +140,7 @@ void NetSim::SendFrom(size_t from, size_t to, Bytes payload,
   event.target_epoch = epoch_[to];
   event.payload = MsgBuf(std::move(payload));
   event.trace = trace;
-  ScheduleEvent(clock_.Now() + latency, std::move(event));
+  queue_.Schedule(clock_.Now() + latency, std::move(event));
 }
 
 void NetSim::SetTimerFor(size_t node, SimTime delay, uint64_t timer_id,
@@ -285,12 +151,11 @@ void NetSim::SetTimerFor(size_t node, SimTime delay, uint64_t timer_id,
   event.timer_id = timer_id;
   event.target_epoch = epoch_[node];
   event.trace = trace;
-  ScheduleEvent(clock_.Now() + delay, std::move(event));
+  queue_.Schedule(clock_.Now() + delay, std::move(event));
 }
 
 void NetSim::SetOnline(size_t node, bool online) {
   assert(node < online_.size());
-  assert(!in_batch_);  // use NodeContext::SetOnline inside a parallel batch
   const bool was_online = online_[node];
   online_[node] = online;
   if (!online && was_online) {
@@ -304,21 +169,20 @@ void NetSim::SetOnline(size_t node, bool online) {
   }
 }
 
-bool NetSim::AdmitEvent(const PdsEvent& event, StatRow& row) {
+bool NetSim::AdmitEvent(const PdsEvent& event) {
   const bool stale = event.target_epoch != epoch_[event.target];
   if (online_[event.target] && !stale) return true;
   if (event.kind == PdsEvent::Kind::kMessage) {
-    row.messages_dropped += 1;
+    stats_.messages_dropped += 1;
     PDS2_M_COUNT("dml.net.messages_dropped", 1);
   } else {
-    row.timers_dropped_offline += 1;
+    stats_.timers_dropped_offline += 1;
     PDS2_M_COUNT("dml.net.timers_dropped_offline", 1);
   }
   return false;
 }
 
-void NetSim::DispatchEvent(PdsEvent& event, NodeContext& ctx, StatRow& row,
-                           Bytes& scratch) {
+void NetSim::DispatchEvent(PdsEvent& event) {
   // Delivery re-establishes the sender's causal context: the handler span
   // parents under the span that sent the message (or armed the timer), and
   // is labeled with the receiving node's identity. All scopes are
@@ -327,13 +191,14 @@ void NetSim::DispatchEvent(PdsEvent& event, NodeContext& ctx, StatRow& row,
   obs::TraceContextScope trace_scope(event.trace);
   obs::NodeScope node_scope(
       "", obs::TracingEnabled() ? NodeName(event.target) : std::string());
+  NodeContext ctx(*this, event.target);
   if (event.kind == PdsEvent::Kind::kMessage) {
-    row.messages_delivered += 1;
+    stats_.messages_delivered += 1;
     PDS2_M_COUNT("dml.net.messages_delivered", 1);
-    bytes_received_per_node_[event.target] += event.payload.size();
+    stats_.bytes_received_per_node[event.target] += event.payload.size();
     obs::ScopedSpan span("dml.net.deliver", &clock_);
     nodes_[event.target]->OnMessage(ctx, event.from,
-                                    event.payload.AsBytes(scratch));
+                                    event.payload.AsBytes(delivery_scratch_));
   } else {
     obs::ScopedSpan span("dml.net.timer", &clock_);
     nodes_[event.target]->OnTimer(ctx, event.timer_id);
@@ -368,131 +233,16 @@ void NetSim::FireTicksThrough(SimTime bound) {
 void NetSim::RunUntil(SimTime t) {
   assert(started_);
   PDS2_TRACE_SPAN_SIM("dml.net.run_until", &clock_);
-  if (pool_ != nullptr) {
-    RunUntilParallel(t);
-    return;
-  }
   SimTime event_time = 0;
   PdsEvent event;
-  while (PopNext(t, &event_time, &event)) {
+  while (queue_.PopUntil(t, &event_time, &event)) {
     // Ticks strictly before this event fire first; an event stamped at
     // exactly the tick time executes before the tick observes it.
     FireTicksBefore(event_time);
     clock_.AdvanceTo(event_time);
-    stat_rows_[0].events_processed += 1;
-    if (!AdmitEvent(event, stat_rows_[0])) continue;
-    NodeContext ctx(*this, event.target);
-    DispatchEvent(event, ctx, stat_rows_[0], delivery_scratch_);
-  }
-  FireTicksThrough(t);
-  clock_.AdvanceTo(t);
-}
-
-void NetSim::RunUntilParallel(SimTime t) {
-  const size_t num_partitions = NumPartitions();
-  SimTime batch_time = 0;
-  while (NextEventTime(t, &batch_time)) {
-    // One batch: every pending event within `batch_window_` of the earliest
-    // one, treated as concurrent and stamped at the batch start time. New
-    // events produced by the batch are scheduled relative to that stamp, so
-    // an event can fire at most `batch_window_` early — the bounded
-    // approximation that buys parallelism (0 = exact-tie batching only).
-    const SimTime horizon = std::min(batch_time + batch_window_, t);
-    // Ticks due strictly before this batch's stamp fire now, sequentially,
-    // against a quiescent sim — batch formation is pool-independent, so
-    // tick placement is too.
-    FireTicksBefore(batch_time);
-    clock_.AdvanceTo(batch_time);
-
-    batch_.clear();
-    {
-      SimTime event_time = 0;
-      PdsEvent event;
-      while (PopNext(horizon, &event_time, &event)) {
-        batch_.push_back(std::move(event));
-      }
-    }
-    stat_rows_[0].events_processed += batch_.size();
-
-    // Bucket the batch by target partition, preserving batch order inside
-    // each bucket: one task per partition, so a node's handlers never run
-    // concurrently with themselves, and each worker touches one contiguous
-    // block of the per-node arrays plus its own outbox and stats row.
-    active_partitions_.clear();
-    for (size_t idx = 0; idx < batch_.size(); ++idx) {
-      const size_t p = PartitionOf(batch_[idx].target);
-      if (partition_events_[p].empty()) active_partitions_.push_back(p);
-      partition_events_[p].push_back(static_cast<uint32_t>(idx));
-    }
-
-    // Admission (offline/stale filtering), delivery accounting and handler
-    // execution all happen inside the partition worker: churn is deferred
-    // to the merge phase below, so online_/epoch_ are frozen for the whole
-    // batch and the checks are race-free and order-independent.
-    auto run_partition = [&](size_t a) {
-      const size_t p = active_partitions_[a];
-      NodeContext::Outbox& outbox = partition_outboxes_[p];
-      StatRow& row = stat_rows_[1 + p];
-      for (const uint32_t idx : partition_events_[p]) {
-        PdsEvent& event = batch_[idx];
-        outbox.current_event = idx;
-        if (!AdmitEvent(event, row)) continue;
-        NodeContext ctx(*this, event.target, &outbox);
-        // Each worker thread has its own open-span stack, so installing
-        // the remote context inside DispatchEvent is what parents this
-        // handler (and the ops it buffers) under the sender's span.
-        DispatchEvent(event, ctx, row, outbox.delivery_scratch);
-      }
-    };
-    in_batch_ = true;
-    if (pool_->NumThreads() > 1 && active_partitions_.size() > 1) {
-      pool_->ParallelFor(0, active_partitions_.size(), run_partition);
-    } else {
-      for (size_t a = 0; a < active_partitions_.size(); ++a) {
-        run_partition(a);
-      }
-    }
-    in_batch_ = false;
-
-    // Merge: apply buffered side effects in batch event order. Each
-    // partition's op list is already sorted by event index (the worker
-    // processed its events in batch order), so the merge is one linear
-    // walk with a cursor per partition — no sorting. All shared-RNG draws
-    // (drop, jitter, corruption) happen here, sequentially, as do churn
-    // transitions and their OnRestart callbacks — deterministic for any
-    // pool size.
-    partition_cursors_.assign(num_partitions, 0);
-    for (size_t idx = 0; idx < batch_.size(); ++idx) {
-      const size_t p = PartitionOf(batch_[idx].target);
-      NodeContext::Outbox& outbox = partition_outboxes_[p];
-      size_t& cursor = partition_cursors_[p];
-      while (cursor < outbox.ops.size() &&
-             outbox.ops[cursor].event_index == idx) {
-        NodeContext::Outbox::Op& op = outbox.ops[cursor++];
-        switch (op.kind) {
-          case NodeContext::Outbox::OpKind::kSend:
-            SendFrom(batch_[idx].target, op.node, std::move(op.payload),
-                     op.trace);
-            break;
-          case NodeContext::Outbox::OpKind::kTimer:
-            SetTimerFor(batch_[idx].target, op.delay, op.timer_id, op.trace);
-            break;
-          case NodeContext::Outbox::OpKind::kChurn:
-            SetOnline(op.node, op.online);
-            break;
-        }
-      }
-    }
-    for (const size_t p : active_partitions_) {
-      NodeContext::Outbox& outbox = partition_outboxes_[p];
-      if (outbox.retries > 0) {
-        stat_rows_[0].retries += outbox.retries;
-        PDS2_M_COUNT("dml.net.retries", outbox.retries);
-      }
-      outbox.ops.clear();
-      outbox.retries = 0;
-      partition_events_[p].clear();
-    }
+    stats_.events_processed += 1;
+    if (!AdmitEvent(event)) continue;
+    DispatchEvent(event);
   }
   FireTicksThrough(t);
   clock_.AdvanceTo(t);

@@ -15,10 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-namespace pds2::common {
-class ThreadPool;
-}  // namespace pds2::common
-
 namespace pds2::dml {
 
 /// Link model of the simulated network.
@@ -30,10 +26,9 @@ struct NetConfig {
 };
 
 /// Network-wide counters (experiments E2/E3 and the chaos harness read
-/// these). Since PR 9 this is a point-in-time *view* materialized by
-/// NetSim::stats() from per-partition struct-of-arrays rows (see
-/// NetSim::StatRow); the same counts are still mirrored into the global
-/// obs::Registry under "dml.net.*" while metrics are enabled.
+/// these). NetSim counts straight into one instance and stats() returns a
+/// copy; the same counts are mirrored into the global obs::Registry under
+/// "dml.net.*" while metrics are enabled.
 struct NetStats {
   /// Events popped from the queue (message deliveries + timer fires,
   /// including ones dropped at admission) — the simulator's unit of work,
@@ -168,10 +163,7 @@ class NodeContext {
   /// Arms a one-shot timer that fires OnTimer(timer_id) after `delay`.
   void SetTimer(common::SimTime delay, uint64_t timer_id);
 
-  /// Takes a node offline / brings it back (see NetSim::SetOnline). Safe
-  /// from inside a parallel batch: the transition is buffered and applied
-  /// on the merge thread in deterministic event order, after the batch
-  /// joins — which is what lets FaultInjector churn a parallel run.
+  /// Takes a node offline / brings it back (see NetSim::SetOnline).
   void SetOnline(size_t node, bool online);
 
   /// Records one protocol-level retransmission in NetStats::retries —
@@ -179,46 +171,13 @@ class NodeContext {
   /// harnesses can see recovery effort without reaching into the protocol.
   void CountRetry();
 
-  /// The simulator-wide RNG in sequential mode; this node's private stream
-  /// in parallel mode (see NetSim::EnableParallel).
+  /// The simulator-wide RNG, shared by every node: draws interleave in
+  /// event order, which is what makes a run a pure function of the seed.
   common::Rng& rng();
 
  private:
-  friend class NetSim;
-
-  /// Side effects buffered during a parallel batch by all events of one
-  /// partition; the simulator replays them in deterministic event order
-  /// after the batch joins. Ops are tagged with the batch-wide index of
-  /// the event whose handler emitted them; because a partition processes
-  /// its events in batch order, each partition's op list is already
-  /// sorted by that tag and the merge is a single linear walk. The trace
-  /// context is captured here, on the worker thread, where the sender's
-  /// delivery span is still installed — by the time the outbox drains on
-  /// the merge thread that context is gone.
-  struct Outbox {
-    enum class OpKind : uint8_t { kSend, kTimer, kChurn };
-    struct Op {
-      uint32_t event_index = 0;  // index into the batch's admitted events
-      OpKind kind = OpKind::kSend;
-      uint32_t node = 0;              // send target / churned node
-      bool online = false;            // churn direction
-      common::SimTime delay = 0;      // timer delay
-      uint64_t timer_id = 0;          // timer id
-      common::Bytes payload;          // send payload
-      obs::TraceContext trace;
-    };
-    std::vector<Op> ops;
-    uint64_t retries = 0;
-    uint32_t current_event = 0;  // set by the drain loop before each handler
-    common::Bytes delivery_scratch;  // reused per-partition payload buffer
-  };
-
-  NodeContext(NetSim& sim, size_t self, Outbox* outbox)
-      : sim_(sim), self_(self), outbox_(outbox) {}
-
   NetSim& sim_;
   size_t self_;
-  Outbox* outbox_ = nullptr;  // non-null only inside a parallel batch
 };
 
 /// A protocol endpoint. Implementations: GossipNode, FedServerNode,
@@ -247,25 +206,14 @@ class Node {
 /// Deterministic discrete-event network simulator, engineered to hold
 /// 10^5-10^6 nodes: the event queue is a hierarchical timer wheel
 /// (EventWheel — O(1) schedule/pop), per-node state lives in flat
-/// struct-of-arrays vectors (online bits, 32-bit epochs, interned names,
-/// RNG streams), message payloads are small-buffer MsgBufs, and the live
-/// counters are per-partition cache-line-aligned rows instead of shared
-/// atomics. By default single-threaded: events (message deliveries,
-/// timers) execute in timestamp order, ties broken by schedule order.
-/// Nodes can be taken offline and back online to model churn; messages to
-/// offline nodes are lost (no retransmission — protocol robustness under
-/// loss is part of what the experiments measure).
-///
-/// Parallel mode (EnableParallel): events inside a small time window are
-/// treated as concurrent and their handlers run on a ThreadPool, grouped
-/// by *partition* — a contiguous block of node indices, so one task
-/// covers many nodes and the per-node arrays it touches are disjoint
-/// cache-line ranges. Determinism is preserved at any pool size: each
-/// node draws from its own RNG stream, handlers buffer their
-/// sends/timers/churn in per-partition outboxes, and the simulator
-/// replays those outboxes (and all shared-RNG draws for drop/jitter) in
-/// batch event order after the join. Partition count is a pure function
-/// of the node count, never of the pool size.
+/// struct-of-arrays vectors (online bits, 32-bit epochs, interned names),
+/// and message payloads are small-buffer MsgBufs. Single-threaded: events
+/// (message deliveries, timers) execute in timestamp order, ties broken by
+/// schedule order, and every random draw comes from one seeded RNG, so a
+/// run is a pure function of its seed. Nodes can be taken offline and back
+/// online to model churn; messages to offline nodes are lost (no
+/// retransmission — protocol robustness under loss is part of what the
+/// experiments measure).
 class NetSim {
  public:
   NetSim(NetConfig config, uint64_t seed);
@@ -276,15 +224,6 @@ class NetSim {
 
   /// Registers a node; returns its index.
   size_t AddNode(std::unique_ptr<Node> node);
-
-  /// Opts into parallel batch execution on `pool`. Must be called before
-  /// Start(). Events whose timestamps fall within `batch_window` of the
-  /// earliest pending event execute as one concurrent batch stamped at the
-  /// batch's start time (0 = only exact timestamp ties batch together).
-  /// Results are identical for every pool size, including 1; they differ
-  /// from sequential mode only because nodes use private RNG streams.
-  void EnableParallel(common::ThreadPool* pool,
-                      common::SimTime batch_window = 0);
 
   /// Delivers OnStart to every node. Call once, after adding all nodes.
   void Start();
@@ -299,9 +238,7 @@ class NetSim {
   /// even if they come due after the restart, exactly as a real process
   /// loses its state when it dies. Drops are counted in NetStats
   /// (timers_dropped_offline / messages_dropped). On rejoin the node's
-  /// OnRestart hook runs so protocols can re-arm. From inside a parallel
-  /// batch use NodeContext::SetOnline, which defers the transition to the
-  /// deterministic merge phase.
+  /// OnRestart hook runs so protocols can re-arm.
   void SetOnline(size_t node, bool online);
   bool IsOnline(size_t node) const { return online_[node]; }
 
@@ -310,13 +247,11 @@ class NetSim {
   void SetLinkFaultHook(LinkFaultHook* hook) { fault_hook_ = hook; }
 
   /// Installs a deterministic periodic tick: `hook(t)` runs with the sim
-  /// clock at exactly `t` for t = Now+interval, Now+2*interval, ... — always
-  /// on the driving thread, between events (never inside a parallel batch),
-  /// ordered so an event stamped at the tick time executes first. Batch
-  /// formation is pool-size-independent, so tick placement is bit-identical
-  /// at 1 vs N threads — this is what drives health-plane sampling on
-  /// 10^5-node runs. The hook must observe, not mutate, the simulation
-  /// (snapshot metrics, evaluate rules); interval 0 or a null hook disables.
+  /// clock at exactly `t` for t = Now+interval, Now+2*interval, ... —
+  /// between events, ordered so an event stamped at the tick time executes
+  /// first. This is what drives health-plane sampling on 10^5-node runs.
+  /// The hook must observe, not mutate, the simulation (snapshot metrics,
+  /// evaluate rules); interval 0 or a null hook disables.
   void SetTickHook(common::SimTime interval,
                    std::function<void(common::SimTime)> hook);
 
@@ -331,9 +266,8 @@ class NetSim {
   void SetNodeName(size_t node, std::string name);
   std::string NodeName(size_t node) const;
 
-  /// Point-in-time copy of the live counters (exact between RunUntil
-  /// calls; do not call concurrently with a running parallel batch).
-  NetStats stats() const;
+  /// Point-in-time copy of the live counters.
+  NetStats stats() const { return stats_; }
   /// The simulator clock, for sim-time spans (PDS2_TRACE_SPAN_SIM).
   const common::SimClock* sim_clock() const { return &clock_; }
   common::Rng& rng() { return rng_; }
@@ -346,13 +280,7 @@ class NetSim {
                 obs::TraceContext trace = {});
   void SetTimerFor(size_t node, common::SimTime delay, uint64_t timer_id,
                    obs::TraceContext trace = {});
-  common::Rng& RngFor(size_t node);
   void CountRetryFor();
-
-  /// Number of parallel partitions node state is split into — a pure
-  /// function of the node count (never of the pool size), so partition
-  /// assignment cannot introduce scheduling dependence.
-  size_t NumPartitions() const;
 
  private:
   /// One queued event. Compact on purpose: 32-bit node indices and
@@ -370,24 +298,6 @@ class NetSim {
     obs::TraceContext trace;    // sender's span at schedule time
   };
 
-  /// Cache-line-aligned struct-of-arrays row of the live counters. Row 0
-  /// belongs to the sequential loop and the merge phase; in parallel mode
-  /// each partition owns row 1 + partition, so hot counters are written
-  /// without atomics and without false sharing, and stats() sums the rows.
-  struct alignas(64) StatRow {
-    uint64_t events_processed = 0;
-    uint64_t messages_sent = 0;
-    uint64_t messages_delivered = 0;
-    uint64_t messages_dropped = 0;
-    uint64_t bytes_sent = 0;
-    uint64_t partition_drops = 0;
-    uint64_t messages_corrupted = 0;
-    uint64_t retries = 0;
-    uint64_t timers_dropped_offline = 0;
-  };
-
-  void RunUntilParallel(common::SimTime t);
-
   /// Fires the tick hook for every pending tick time strictly before
   /// `bound` (FireTicksBefore) or up to and including it (FireTicksThrough),
   /// advancing the clock to each tick time.
@@ -395,30 +305,11 @@ class NetSim {
   void FireTicksThrough(common::SimTime bound);
 
   /// True when `event` is addressed to a live target (online and same
-  /// life); otherwise records the drop in `row` and returns false. Reads
-  /// only state that is frozen during a parallel batch (churn is
-  /// deferred), so partition workers may call it concurrently.
-  bool AdmitEvent(const PdsEvent& event, StatRow& row);
+  /// life); otherwise records the drop and returns false.
+  bool AdmitEvent(const PdsEvent& event);
 
   /// Delivery accounting + handler dispatch for one admitted event.
-  /// `ctx` carries the partition outbox in parallel mode (nullptr ==
-  /// sequential: side effects apply immediately).
-  void DispatchEvent(PdsEvent& event, NodeContext& ctx, StatRow& row,
-                     common::Bytes& scratch);
-
-  size_t PartitionOf(size_t node) const;
-
-  /// Routes an event to the wheel, or — when a windowed parallel batch
-  /// has already advanced the wheel's frontier past `time` — to the small
-  /// retro heap. Retro events are strictly earlier than everything left
-  /// in the wheel (the wheel's frontier never passes the last RunUntil
-  /// bound, and every wheel event at or before that bound was popped), so
-  /// the two structures never have to break a timestamp tie against each
-  /// other; within the retro heap, ties pop FIFO by insertion sequence.
-  void ScheduleEvent(common::SimTime time, PdsEvent event);
-  bool NextEventTime(common::SimTime bound, common::SimTime* time);
-  bool PopNext(common::SimTime bound, common::SimTime* time,
-               PdsEvent* event);
+  void DispatchEvent(PdsEvent& event);
 
   NetConfig config_;
   common::Rng rng_;
@@ -437,45 +328,13 @@ class NetSim {
   common::SimTime next_tick_ = 0;
   std::function<void(common::SimTime)> tick_hook_;
   EventWheel<PdsEvent> queue_;
-  /// Live counters, struct-of-arrays by partition (see StatRow). Kept
-  /// per-instance so multiple sims in one process — the norm in tests —
-  /// never bleed counts into each other; increments are additionally
-  /// mirrored to the global registry for process-wide exports while
-  /// metrics are enabled.
-  std::vector<StatRow> stat_rows_;
-  std::vector<uint64_t> bytes_received_per_node_;
-  common::Bytes delivery_scratch_;  // sequential-mode payload reuse
+  /// Live counters. Kept per-instance so multiple sims in one process — the
+  /// norm in tests — never bleed counts into each other; increments are
+  /// additionally mirrored to the global registry for process-wide exports
+  /// while metrics are enabled.
+  NetStats stats_;
+  common::Bytes delivery_scratch_;  // reused inline-payload buffer
   bool started_ = false;
-
-  /// Events scheduled behind the wheel frontier by a windowed parallel
-  /// batch (see ScheduleEvent). Min-heap on (time, insertion seq) kept in
-  /// a vector with std::push_heap/pop_heap; empty except transiently when
-  /// batch_window_ > 0.
-  struct RetroEntry {
-    common::SimTime time = 0;
-    uint64_t seq = 0;
-    PdsEvent event;
-  };
-  struct RetroLater {
-    bool operator()(const RetroEntry& a, const RetroEntry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  std::vector<RetroEntry> retro_;
-  uint64_t retro_seq_ = 0;
-
-  // Parallel-mode state (EnableParallel).
-  common::ThreadPool* pool_ = nullptr;
-  common::SimTime batch_window_ = 0;
-  std::vector<common::Rng> node_rngs_;  // one private stream per node
-  bool in_batch_ = false;  // guards direct SetOnline during a batch
-  // Reused batch scratch (cleared, not reallocated, every batch).
-  std::vector<PdsEvent> batch_;
-  std::vector<NodeContext::Outbox> partition_outboxes_;
-  std::vector<std::vector<uint32_t>> partition_events_;
-  std::vector<size_t> active_partitions_;
-  std::vector<size_t> partition_cursors_;
 };
 
 }  // namespace pds2::dml

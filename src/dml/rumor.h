@@ -18,11 +18,10 @@ struct RumorConfig {
 /// node pushes a one-byte rumor to `fanout` uniformly random peers every
 /// jittered `push_interval`; a node that hears the rumor becomes infected
 /// and starts pushing too. The protocol state is two words per node, so a
-/// sweep measures the simulator — event queue, churn, parallel batches —
-/// rather than any model math. Every random draw (timer jitter, peer
-/// choice) comes from ctx.rng(), i.e. the node's private stream in
-/// parallel mode, which is what makes runs bit-identical across pool
-/// sizes. Crash semantics: the timer chain dies with the node (NetSim
+/// sweep measures the simulator — event queue, churn, fault hook — rather
+/// than any model math. Every random draw (timer jitter, peer choice) comes
+/// from ctx.rng(), the simulator's seeded stream, so a run is a pure
+/// function of its seed. Crash semantics: the timer chain dies with the node (NetSim
 /// drops old-life timers) but the infection bit survives, so OnRestart
 /// re-desynchronizes and resumes pushing.
 class RumorNode : public Node {

@@ -35,7 +35,7 @@ struct MarketConfig {
   uint64_t reuse_fee_permille = 100;
   /// Durable directory for the artifact store; empty = in-memory.
   std::string artifact_dir;
-  /// Pool for the chain's parallel validation/execution (see
+  /// Pool for the chain's parallel block validation (see
   /// ChainConfig::thread_pool). nullptr = process-wide pool; any size is
   /// bit-identical, which is what the health plane's 1-vs-N alert
   /// determinism checks sweep.

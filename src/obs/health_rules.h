@@ -12,9 +12,12 @@
 /// pack on a run that exercises one subsystem is safe and a fault-free
 /// seeded run fires nothing.
 ///
-/// Rules deliberately avoid thread-count-dependent series (chain.parallel.*,
-/// pool.*, chain.sig_cache_hits): alert streams must be bit-identical when
-/// the same seeded run executes on 1 vs N pool threads.
+/// Rules deliberately avoid thread-count-dependent series (pool.*,
+/// chain.sig_cache_hits): alert streams must be bit-identical when the same
+/// seeded run executes on 1 vs N pool threads. The supply-conservation
+/// invariant reads gauges Chain publishes after every block from
+/// WorldState's running balance total, so watching it does not walk the
+/// accounts.
 namespace pds2::obs::rules {
 
 /// Chain: supply conservation (circulating + staked + burned == genesis,

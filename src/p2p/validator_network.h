@@ -59,7 +59,7 @@ class ValidatorNode : public dml::Node {
   /// block production and external-block apply run on
   /// `chain_config.thread_pool` — or on the shared process pool when that
   /// is nullptr (the default): validators get batched signature checks
-  /// and conflict-lane execution without plumbing a pool here.
+  /// without plumbing a pool here.
   ValidatorNode(size_t index, std::vector<common::Bytes> validator_keys,
                 crypto::SigningKey key,
                 const std::vector<GenesisAlloc>& genesis,

@@ -523,16 +523,12 @@ Result<RecoveredChain> OpenBlockchain(
       replica->StateDigest() != replica->blocks().back().header.state_root) {
     return Status::Corruption("recovered state root mismatch at head");
   }
-  // Optionally cross-check the recovered state against an uninterrupted
-  // genesis replay on a forced-sequential replica — bit-identical or we
-  // refuse. This guards two shortcuts at once: a snapshot that is
-  // internally consistent but belongs to a different history, and the
-  // optimistic parallel block executor (the recovery replay above runs on
-  // the configured pool; the reference re-run cannot take the lane path).
-  const bool parallel_replay_possible =
-      config.thread_pool != nullptr && config.thread_pool->NumThreads() > 1;
-  if (store_options.paranoid_recovery &&
-      (info.used_snapshot || parallel_replay_possible)) {
+  // Optionally cross-check a snapshot-based recovery against an
+  // uninterrupted genesis replay on a single-thread replica — bit-identical
+  // or we refuse. This guards the snapshot shortcut: a snapshot that is
+  // internally consistent but belongs to a different history. (Without a
+  // snapshot, recovery already was a full genesis replay.)
+  if (store_options.paranoid_recovery && info.used_snapshot) {
     common::ThreadPool sequential_pool(1);
     chain::ChainConfig sequential_config = config;
     sequential_config.thread_pool = &sequential_pool;

@@ -28,9 +28,8 @@ struct ChainStoreOptions {
   /// During recovery, additionally replay the whole chain from genesis on a
   /// scratch replica forced onto a single-thread pool and require the
   /// recovered state digest to bit-match it. Catches both a snapshot that
-  /// is internally consistent but belongs to a different genesis AND any
-  /// divergence introduced by the optimistic parallel block executor (the
-  /// reference replay cannot take the lane path). Costs O(chain) —
+  /// is internally consistent but belongs to a different genesis. Costs
+  /// O(chain), and only runs when recovery started from a snapshot —
   /// benchmarks turn it off to measure the snapshot speedup
   /// (EXPERIMENTS.md E13).
   bool paranoid_recovery = true;

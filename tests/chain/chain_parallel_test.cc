@@ -1,12 +1,12 @@
-// Parallel transaction execution suite: conflict-lane partitioning,
-// LaneStateView overlay semantics, the sharded mempool, and — the contract
-// that matters — bit-identical receipts, state digests and block hashes for
-// every (conflict rate, thread count) combination. The sequential path is
-// the ground truth; the optimistic lane executor must be observationally
-// indistinguishable from it.
+// Block execution suite: the sharded mempool and — the contract that
+// matters — bit-identical receipts, state digests and block hashes for
+// every (conflict rate, thread count) combination, pinned to golden values
+// recorded when blocks still ran in optimistic conflict lanes. Transactions
+// execute sequentially; the thread pool only fans out signature batches
+// and the tx root.
 //
 // Carries the `parallel` and `sanitize` labels: rerun under
-// -DPDS2_SANITIZE=thread to check the lane executor for data races.
+// -DPDS2_SANITIZE=thread to check the pool-driven validation for races.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,9 +14,10 @@
 
 #include "chain/chain.h"
 #include "chain/mempool.h"
-#include "chain/parallel_exec.h"
+#include "common/hex.h"
 #include "common/serial.h"
 #include "common/thread_pool.h"
+#include "crypto/sha256.h"
 
 namespace pds2::chain {
 namespace {
@@ -32,171 +33,6 @@ constexpr uint64_t kGas = 2'000'000;
 constexpr uint64_t kGenesisEach = 10'000'000'000;
 
 Address TestAddress(uint8_t tag) { return Address(kAddressSize, tag); }
-
-// --- PartitionIntoLanes -----------------------------------------------------
-
-AccessSet Accounts(std::initializer_list<uint8_t> tags) {
-  AccessSet set;
-  for (uint8_t tag : tags) set.accounts.insert(TestAddress(tag));
-  return set;
-}
-
-TEST(PartitionIntoLanesTest, DisjointSetsGetTheirOwnLanes) {
-  std::vector<AccessSet> sets = {Accounts({1, 2}), Accounts({3, 4}),
-                                 Accounts({5, 6})};
-  auto lanes = PartitionIntoLanes(sets);
-  ASSERT_EQ(lanes.size(), 3u);
-  EXPECT_EQ(lanes[0], std::vector<size_t>{0});
-  EXPECT_EQ(lanes[1], std::vector<size_t>{1});
-  EXPECT_EQ(lanes[2], std::vector<size_t>{2});
-}
-
-TEST(PartitionIntoLanesTest, SharedAccountMergesTransitively) {
-  // 0-1 share account 2, 1-3 share account 5: {0,1,3} is one lane even
-  // though 0 and 3 have nothing in common directly.
-  std::vector<AccessSet> sets = {Accounts({1, 2}), Accounts({2, 5}),
-                                 Accounts({7, 8}), Accounts({5, 9})};
-  auto lanes = PartitionIntoLanes(sets);
-  ASSERT_EQ(lanes.size(), 2u);
-  EXPECT_EQ(lanes[0], (std::vector<size_t>{0, 1, 3}));
-  EXPECT_EQ(lanes[1], std::vector<size_t>{2});
-}
-
-TEST(PartitionIntoLanesTest, SharedStorageSpaceMerges) {
-  AccessSet a = Accounts({1});
-  a.spaces.insert("erc20/7");
-  AccessSet b = Accounts({2});
-  b.spaces.insert("erc20/7");
-  auto lanes = PartitionIntoLanes({a, b});
-  ASSERT_EQ(lanes.size(), 1u);
-  EXPECT_EQ(lanes[0], (std::vector<size_t>{0, 1}));
-}
-
-TEST(PartitionIntoLanesTest, GlobalSetSerializesEverything) {
-  AccessSet global;
-  global.global = true;
-  auto lanes = PartitionIntoLanes({Accounts({1}), global, Accounts({2})});
-  ASSERT_EQ(lanes.size(), 1u);
-  EXPECT_EQ(lanes[0], (std::vector<size_t>{0, 1, 2}));
-}
-
-TEST(PartitionIntoLanesTest, LanesOrderedByLowestMember) {
-  // tx1 and tx3 conflict; lane containing tx0 comes first, then {1,3},
-  // then {2}.
-  std::vector<AccessSet> sets = {Accounts({10}), Accounts({11, 12}),
-                                 Accounts({13}), Accounts({12, 14})};
-  auto lanes = PartitionIntoLanes(sets);
-  ASSERT_EQ(lanes.size(), 3u);
-  EXPECT_EQ(lanes[0], std::vector<size_t>{0});
-  EXPECT_EQ(lanes[1], (std::vector<size_t>{1, 3}));
-  EXPECT_EQ(lanes[2], std::vector<size_t>{2});
-}
-
-// --- LaneStateView ----------------------------------------------------------
-
-TEST(LaneStateViewTest, ReadsFallThroughWritesStayInOverlay) {
-  WorldState base;
-  ASSERT_TRUE(base.Credit(TestAddress(1), 100).ok());
-  AccessSet allowed = Accounts({1, 2});
-  LaneStateView view(base, allowed);
-
-  EXPECT_EQ(view.GetBalance(TestAddress(1)), 100u);
-  ASSERT_TRUE(view.Transfer(TestAddress(1), TestAddress(2), 40).ok());
-  EXPECT_EQ(view.GetBalance(TestAddress(1)), 60u);
-  EXPECT_EQ(view.GetBalance(TestAddress(2)), 40u);
-  // The base is untouched until MergeInto.
-  EXPECT_EQ(base.GetBalance(TestAddress(1)), 100u);
-  EXPECT_EQ(base.GetBalance(TestAddress(2)), 0u);
-  EXPECT_FALSE(view.violated());
-
-  view.MergeInto(&base);
-  EXPECT_EQ(base.GetBalance(TestAddress(1)), 60u);
-  EXPECT_EQ(base.GetBalance(TestAddress(2)), 40u);
-}
-
-TEST(LaneStateViewTest, MatchesWorldStateSemanticsIncludingDigest) {
-  // Run the same op sequence against a WorldState and through a lane view,
-  // then compare digests: account-existence effects (zero-balance accounts
-  // hash into the digest) must match exactly.
-  WorldState direct;
-  ASSERT_TRUE(direct.Credit(TestAddress(1), 50).ok());
-  WorldState base;
-  ASSERT_TRUE(base.Credit(TestAddress(1), 50).ok());
-
-  auto script = [](StateView& s) {
-    ASSERT_TRUE(s.Transfer(TestAddress(1), TestAddress(2), 50).ok());
-    s.BumpNonce(TestAddress(1));
-    ASSERT_TRUE(s.StoragePut("space", ToBytes("k1"), ToBytes("v1")) == false);
-    s.Begin();
-    ASSERT_TRUE(s.StoragePut("space", ToBytes("k2"), ToBytes("v2")) == false);
-    ASSERT_TRUE(s.Debit(TestAddress(2), 10).ok());
-    s.Rollback();  // k2 and the debit disappear
-    s.StorageDelete("space", ToBytes("missing"));  // no-op
-    // Transfer of 0 to a fresh address still creates the account.
-    ASSERT_TRUE(s.Transfer(TestAddress(2), TestAddress(3), 0).ok());
-  };
-  script(direct);
-
-  AccessSet allowed = Accounts({1, 2, 3});
-  allowed.spaces.insert("space");
-  LaneStateView view(base, allowed);
-  script(view);
-  ASSERT_FALSE(view.violated());
-  view.MergeInto(&base);
-
-  EXPECT_EQ(base.Digest(), direct.Digest());
-}
-
-TEST(LaneStateViewTest, ErrorStringsMatchWorldState) {
-  WorldState base;
-  ASSERT_TRUE(base.Credit(TestAddress(1), 5).ok());
-  AccessSet allowed = Accounts({1, 2});
-  LaneStateView view(base, allowed);
-
-  common::Status direct = base.Debit(TestAddress(2), 1);
-  common::Status lane = view.Debit(TestAddress(2), 1);
-  EXPECT_EQ(lane.ToString(), direct.ToString());
-
-  direct = base.Credit(TestAddress(1), UINT64_MAX);
-  lane = view.Credit(TestAddress(1), UINT64_MAX);
-  EXPECT_EQ(lane.ToString(), direct.ToString());
-}
-
-TEST(LaneStateViewTest, OutOfSetAccessSetsViolatedFlag) {
-  WorldState base;
-  LaneStateView view(base, Accounts({1}));
-  (void)view.GetBalance(TestAddress(1));
-  EXPECT_FALSE(view.violated());
-  (void)view.GetBalance(TestAddress(9));  // outside the lane
-  EXPECT_TRUE(view.violated());
-
-  LaneStateView storage_view(base, Accounts({1}));
-  (void)storage_view.StorageGet("undeclared", ToBytes("k"));
-  EXPECT_TRUE(storage_view.violated());
-}
-
-TEST(LaneStateViewTest, StorageScanMergesOverlayAndBase) {
-  WorldState base;
-  ASSERT_FALSE(base.StoragePut("s", ToBytes("a1"), ToBytes("base1")));
-  ASSERT_FALSE(base.StoragePut("s", ToBytes("a3"), ToBytes("base3")));
-  ASSERT_FALSE(base.StoragePut("s", ToBytes("a4"), ToBytes("base4")));
-
-  AccessSet allowed;
-  allowed.spaces.insert("s");
-  LaneStateView view(base, allowed);
-  ASSERT_FALSE(view.StoragePut("s", ToBytes("a2"), ToBytes("lane2")));
-  ASSERT_TRUE(view.StoragePut("s", ToBytes("a3"), ToBytes("lane3")));
-  view.StorageDelete("s", ToBytes("a4"));  // tombstone hides the base entry
-
-  auto scan = view.StorageScan("s", ToBytes("a"));
-  ASSERT_EQ(scan.size(), 3u);
-  EXPECT_EQ(scan[0].first, ToBytes("a1"));
-  EXPECT_EQ(scan[0].second, ToBytes("base1"));
-  EXPECT_EQ(scan[1].first, ToBytes("a2"));
-  EXPECT_EQ(scan[1].second, ToBytes("lane2"));
-  EXPECT_EQ(scan[2].first, ToBytes("a3"));
-  EXPECT_EQ(scan[2].second, ToBytes("lane3"));
-}
 
 // --- Sharded mempool --------------------------------------------------------
 
@@ -318,8 +154,8 @@ struct RunResult {
 };
 
 // A transfer workload over `kSenders` independent senders where
-// `conflict_pct` percent of the transactions pay a single hot address (all
-// in one lane) and the rest pay a per-sender cold address (own lane each).
+// `conflict_pct` percent of the transactions pay a single hot address and
+// the rest pay a per-sender cold address.
 RunResult RunTransferWorkload(int conflict_pct, size_t threads) {
   constexpr size_t kSenders = 32;
   SigningKey validator = SigningKey::FromSeed(ToBytes("validator-0"));
@@ -390,35 +226,17 @@ TEST_P(ParallelEquivalenceTest, BitIdenticalAcrossThreadCounts) {
   const int conflict_pct = GetParam();
   const RunResult reference = RunTransferWorkload(conflict_pct, 1);
   EXPECT_EQ(reference.tx_count, 32u);
-
-  // Guard against the sweep passing vacuously: with >1 thread and any
-  // lane-splittable workload the optimistic path must actually run.
-  obs::SetMetricsEnabled(true);
-  obs::Counter& parallel_blocks =
-      obs::Registry::Global().GetCounter("chain.parallel.blocks_parallel");
-  const uint64_t parallel_before = parallel_blocks.Value();
-
   for (size_t threads : {2u, 4u, 8u}) {
     RunResult parallel = RunTransferWorkload(conflict_pct, threads);
     ExpectIdentical(parallel, reference);
   }
-
-  if (conflict_pct < 100) {
-    EXPECT_GT(parallel_blocks.Value(), parallel_before)
-        << "lane executor never engaged; the sweep proved nothing";
-  } else {
-    // 100% conflict is a single lane: the planner must fall back.
-    EXPECT_EQ(parallel_blocks.Value(), parallel_before);
-  }
-  obs::SetMetricsEnabled(false);
 }
 
 INSTANTIATE_TEST_SUITE_P(ConflictSweep, ParallelEquivalenceTest,
                          ::testing::Values(0, 25, 100));
 
-// Contract transactions exercise the tracing pre-pass: four independent
-// ERC-20 instances, each with its own holders, split into four lanes; the
-// result must match the single-thread run bit for bit.
+// Contract transactions: four independent ERC-20 instances, each with its
+// own holders; the result must match the single-thread run bit for bit.
 RunResult RunErc20Workload(size_t threads) {
   constexpr size_t kInstances = 4;
   SigningKey validator = SigningKey::FromSeed(ToBytes("validator-0"));
@@ -440,7 +258,7 @@ RunResult RunErc20Workload(size_t threads) {
                     .ok());
   }
 
-  // Block 1: deploys (globally conflicting — executed sequentially).
+  // Block 1: deploys.
   common::SimTime now = 0;
   for (size_t i = 0; i < kInstances; ++i) {
     Writer deploy_args;
@@ -460,7 +278,7 @@ RunResult RunErc20Workload(size_t threads) {
   }
   EXPECT_EQ(instances.size(), kInstances);
 
-  // Block 2: three token transfers per instance — one lane per instance.
+  // Block 2: three token transfers per instance.
   for (size_t i = 0; i < kInstances; ++i) {
     for (uint64_t n = 0; n < 3; ++n) {
       Writer call_args;
@@ -488,12 +306,83 @@ RunResult RunErc20Workload(size_t threads) {
   return result;
 }
 
-TEST(ParallelContractTest, Erc20LanesBitIdenticalAcrossThreads) {
+TEST(ParallelContractTest, Erc20BitIdenticalAcrossThreads) {
   const RunResult reference = RunErc20Workload(1);
   EXPECT_EQ(reference.tx_count, 12u);
   for (size_t threads : {2u, 4u, 8u}) {
     ExpectIdentical(RunErc20Workload(threads), reference);
   }
+}
+
+// --- Golden blocks ----------------------------------------------------------
+
+// SHA-256 over every receipt field, events included, in block order.
+std::string ReceiptsDigest(const std::vector<Receipt>& receipts) {
+  Writer w;
+  for (const Receipt& receipt : receipts) {
+    w.PutBytes(receipt.tx_id);
+    w.PutU64(receipt.block_number);
+    w.PutBool(receipt.success);
+    w.PutString(receipt.error);
+    w.PutU64(receipt.gas_used);
+    w.PutBytes(receipt.output);
+    w.PutU64(receipt.events.size());
+    for (const Event& event : receipt.events) {
+      w.PutString(event.contract);
+      w.PutU64(event.instance);
+      w.PutString(event.name);
+      w.PutBytes(event.data);
+    }
+  }
+  return common::HexEncode(crypto::Sha256::Hash(w.Take()));
+}
+
+struct GoldenBlock {
+  const char* block_hash;
+  const char* state_root;
+  const char* receipts;
+};
+
+void ExpectGolden(const RunResult& got, const GoldenBlock& want) {
+  EXPECT_EQ(common::HexEncode(got.block_hash), want.block_hash);
+  EXPECT_EQ(common::HexEncode(got.state_digest), want.state_root);
+  EXPECT_EQ(ReceiptsDigest(got.receipts), want.receipts);
+}
+
+// Pinned outputs of the sweep blocks on a 4-thread pool, recorded while
+// the 0% and 25% transfer blocks and the ERC-20 block still executed in
+// optimistic conflict lanes. Every executor must reproduce them bit for
+// bit: block hash, state root and all receipts.
+TEST(GoldenBlockTest, TransferSweepMatchesRecordedBlocks) {
+  const struct {
+    int conflict_pct;
+    GoldenBlock golden;
+  } kCases[] = {
+      {0,
+       {"448cfc0f2994cd98e4aa193d5412b6b328310d601e8c4441289bb2ce8e43f3fa",
+        "200885d75759f8c2bd148143fe6510ba41c9b947513bf7f35f8ed374d897ac3f",
+        "92125e6053bb7d4585f63893a1d5a96971de289ab5b204032a447b7f0afd1410"}},
+      {25,
+       {"fc2dc55f9a3e030df4fc79b5c56a5346917faf377e00829f59f8f5d0d00b5f7f",
+        "959b7f767f1175c483369a4466150e527972445d741725b56ef8fb8e5d2b6e30",
+        "8f0930543fbc55c68ad5e3b69df88ec6215edd1c9adc5fda35c2b251d3592f4c"}},
+      {100,
+       {"5aef4cdc66c7f32f6c31c79f67cf684f8344bda66f05ecbee07b274fdd93fa4a",
+        "bfa1d903b28ac9c86c3df49649b5f262643d8389ec866ea56bab9c3de4db1c67",
+        "48f69211d626fef971001acb05946a1095edc8b6b09017a9ffab448b59a47953"}},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.conflict_pct);
+    ExpectGolden(RunTransferWorkload(c.conflict_pct, 4), c.golden);
+  }
+}
+
+TEST(GoldenBlockTest, Erc20BlockMatchesRecordedBlock) {
+  ExpectGolden(
+      RunErc20Workload(4),
+      {"ae665878664b37ccaf54b019601412cc9c0db87f31e35088a651f42784756ee8",
+       "df9f749cb8a7e42634c1b8da0f1df8fdfe10ec770383ac4b1cbf5a32f640ef9a",
+       "131b55e50edeaa2f1c40e30b5c9b43132811a64783872c13ac3294599cec5980"});
 }
 
 // Cross-replica check: a block produced with an 8-thread pool must be

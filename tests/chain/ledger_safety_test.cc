@@ -15,6 +15,7 @@
 #include "chain/state.h"
 #include "common/checked_math.h"
 #include "common/serial.h"
+#include "obs/metrics.h"
 
 namespace pds2::chain {
 namespace {
@@ -294,6 +295,35 @@ TEST(CheckedMathTest, Boundaries) {
   EXPECT_EQ(out, 0u);
   EXPECT_EQ(common::SaturatingAdd(UINT64_MAX, 5), UINT64_MAX);
   EXPECT_EQ(common::SaturatingAdd(2, 3), 5u);
+}
+
+// The circulating-supply gauge comes from WorldState's running balance
+// total. A block whose state root does not match executes every transfer
+// and is then rolled back; the gauge a later good block publishes must
+// still equal the full account walk.
+TEST_F(LedgerSafetyTest, SupplyGaugeMatchesWalkAfterRejectedBlock) {
+  obs::SetMetricsEnabled(true);
+  Transaction tx = Transfer(*alice_, 1'000, kGas);
+  Block bad;
+  bad.transactions.push_back(tx);
+  bad.header.parent_hash = chain_->LastBlockHash();
+  bad.header.number = chain_->Height();
+  bad.header.timestamp = ++now_;
+  bad.header.tx_root = Block::ComputeTxRoot(bad.transactions, nullptr);
+  bad.header.state_root = Hash(32, 0xee);
+  bad.header.proposer_public_key = validator_->PublicKey();
+  bad.header.signature = validator_->SignWithDomain(
+      BlockHeader::Domain(), bad.header.SigningBytes());
+  EXPECT_EQ(chain_->ApplyExternalBlock(bad).code(), StatusCode::kCorruption);
+
+  ASSERT_TRUE(chain_->SubmitTransaction(tx).ok());
+  ASSERT_TRUE(Mine(tx.Id()).ok());
+  const int64_t circulating = obs::Registry::Global()
+                                  .GetGauge("chain.supply.circulating")
+                                  .Value();
+  obs::SetMetricsEnabled(false);
+  EXPECT_EQ(static_cast<uint64_t>(circulating), chain_->TotalSupply());
+  EXPECT_EQ(chain_->TotalSupply(), supply_at_genesis_);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // root of a freshly restored copy, under nested checkpoints and bucket-count
 // changes), known-answer (roots recomputed here from the PROTOCOL.md
 // formula with raw SHA-256), and a work bound read from the
-// chain.state_root.buckets_rehashed counter.
+// chain.state_root.buckets_rehashed counter. Also the running balance total
+// against the full account walk.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -297,6 +298,59 @@ TEST(StateRootTest, CopiesDigestConcurrently) {
   for (size_t i = 0; i < copies.size(); ++i) {
     EXPECT_EQ(roots[i], FreshRoot(copies[i])) << i;
   }
+}
+
+// The running balance total behind RunningTotalBalance() against the
+// TotalBalance() walk: after every random credit/debit/transfer/put/
+// checkpoint/rollback step, after stake bonds, releases and slashes, and
+// across a snapshot round trip.
+TEST(RunningTotalBalanceTest, MatchesWalkUnderRandomMutations) {
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    common::Rng rng(seed);
+    const std::vector<Address> pool = MakeAddressPool(rng, 64);
+    WorldState state;
+    for (int step = 0; step < 3000; ++step) {
+      RandomStep(rng, pool, pool.size(), {&state});
+      const Address& a = pool[rng.NextU64(pool.size())];
+      const Address& b = pool[rng.NextU64(pool.size())];
+      switch (rng.NextU64(8)) {
+        case 0:
+          (void)state.StakeBond(a, rng.NextU64(30));
+          break;
+        case 1:
+          (void)state.StakeRelease(a, rng.NextU64(30));
+          break;
+        case 2:
+          (void)state.StakeSlash(a, state.StakeOf(a) / 2, b, 2'500);
+          break;
+        default:
+          break;
+      }
+      ASSERT_EQ(state.RunningTotalBalance(), state.TotalBalance())
+          << "seed " << seed << " step " << step;
+    }
+    while (state.CheckpointDepth() > 0) state.Rollback();
+    ASSERT_EQ(state.RunningTotalBalance(), state.TotalBalance());
+    auto restored = WorldState::DeserializeSnapshot(state.SerializeSnapshot());
+    ASSERT_TRUE(restored.ok());
+    EXPECT_EQ(restored->RunningTotalBalance(), state.TotalBalance());
+  }
+}
+
+// A hand-built state past uint64: both totals saturate, and both come back
+// to the exact sum once it fits again.
+TEST(RunningTotalBalanceTest, SaturatesLikeTheWalk) {
+  const Address whale(kAddressSize, 1);
+  WorldState state;
+  state.PutAccount(whale, Account{UINT64_MAX, 0});
+  state.Begin();
+  ASSERT_TRUE(state.Credit(Address(kAddressSize, 2), 10).ok());
+  EXPECT_EQ(state.RunningTotalBalance(), UINT64_MAX);
+  EXPECT_EQ(state.TotalBalance(), UINT64_MAX);
+  state.Rollback();
+  ASSERT_TRUE(state.Debit(whale, 5).ok());
+  EXPECT_EQ(state.RunningTotalBalance(), UINT64_MAX - 5);
+  EXPECT_EQ(state.TotalBalance(), UINT64_MAX - 5);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Scale determinism: a 10^4-node rumor epidemic under seeded churn must be
-// bit-identical at 1 vs N worker threads, in both exact-tie and windowed
-// batching modes. This pins the whole parallel path — per-node RNG
-// streams, partition-level execution, deferred churn, the deterministic
-// merge, and the timer wheel under heavy load (hundreds of thousands of
-// events) — to a scheduling-independent trajectory.
+// Scale determinism: a 10^4-node rumor epidemic under seeded churn is a
+// pure function of its seed — the same seed reproduces it bit for bit, the
+// next seed does not, and seed 77 matches a trajectory pinned before the
+// partition-parallel batch mode was removed. This covers the timer wheel
+// under heavy load (hundreds of thousands of events), churn epochs and the
+// fault hook.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/thread_pool.h"
 #include "dml/fault_injector.h"
 #include "dml/health_sampler.h"
 #include "dml/netsim.h"
@@ -23,7 +22,6 @@ namespace pds2::dml {
 namespace {
 
 using common::SimTime;
-using common::ThreadPool;
 
 constexpr size_t kNodes = 10'000;
 constexpr SimTime kDuration = 5 * common::kMicrosPerSecond;
@@ -47,13 +45,11 @@ struct Fingerprint {
   }
 };
 
-Fingerprint RunChurnEpidemic(size_t threads, SimTime batch_window) {
+Fingerprint RunChurnEpidemic(uint64_t seed) {
   NetConfig net;
   net.drop_rate = 0.01;
   net.bandwidth_bytes_per_sec = 0;  // rumor bytes are not the point here
-  NetSim sim(net, /*seed=*/77);
-  ThreadPool pool(threads);
-  sim.EnableParallel(&pool, batch_window);
+  NetSim sim(net, seed);
   sim.Reserve(kNodes + 1);  // + the fault injector
 
   RumorConfig rumor;
@@ -70,9 +66,9 @@ Fingerprint RunChurnEpidemic(size_t threads, SimTime batch_window) {
   profile.crash_fraction = 0.2;
   profile.min_downtime = 1 * common::kMicrosPerSecond;
   profile.max_downtime = 3 * common::kMicrosPerSecond;
-  profile.num_partitions = 0;  // pure churn — the satellite under test
+  profile.num_partitions = 0;  // pure churn
   const common::FaultPlan plan =
-      common::FaultPlan::Random(/*seed=*/77, kNodes, kDuration, profile);
+      common::FaultPlan::Random(seed, kNodes, kDuration, profile);
   FaultInjector::Install(sim, plan);
 
   sim.Start();
@@ -90,31 +86,55 @@ Fingerprint RunChurnEpidemic(size_t threads, SimTime batch_window) {
   return fp;
 }
 
-TEST(ScaleNetSimTest, ChurnEpidemicBitIdenticalOneVsManyThreads) {
-  const Fingerprint reference = RunChurnEpidemic(1, /*batch_window=*/0);
+// One 64-bit FNV-1a digest of a Fingerprint, bytes-received vector included.
+uint64_t Digest(const Fingerprint& fp) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  mix(fp.infected);
+  mix(fp.infected_at_sum);
+  mix(fp.pushes);
+  mix(fp.stats.events_processed);
+  mix(fp.stats.messages_sent);
+  mix(fp.stats.messages_delivered);
+  mix(fp.stats.messages_dropped);
+  mix(fp.stats.bytes_sent);
+  mix(fp.stats.timers_dropped_offline);
+  for (uint64_t bytes : fp.stats.bytes_received_per_node) mix(bytes);
+  return h;
+}
+
+// The seed-77 churn epidemic on the sequential simulator, pinned to the
+// trajectory recorded before the partition-parallel batch mode was removed.
+TEST(ScaleNetSimTest, SequentialChurnEpidemicMatchesGolden) {
+  const Fingerprint fp = RunChurnEpidemic(/*seed=*/77);
+  EXPECT_EQ(fp.infected, 10'000u);
+  EXPECT_EQ(fp.infected_at_sum, 12'384'349'354u);
+  EXPECT_EQ(fp.pushes, 346'152u);
+  EXPECT_EQ(fp.stats.events_processed, 572'724u);
+  EXPECT_EQ(fp.stats.messages_sent, 346'152u);
+  EXPECT_EQ(fp.stats.messages_dropped, 34'152u);
+  EXPECT_EQ(fp.stats.timers_dropped_offline, 2'000u);
+  EXPECT_EQ(Digest(fp), 14'923'454'313'743'657'561u);
+}
+
+TEST(ScaleNetSimTest, ChurnEpidemicIsAPureFunctionOfTheSeed) {
+  const Fingerprint reference = RunChurnEpidemic(/*seed=*/77);
   // The epidemic actually spread and churn actually dropped state — a
   // vacuous run would make the equality below meaningless.
   EXPECT_GT(reference.infected, kNodes / 2);
   EXPECT_GT(reference.stats.timers_dropped_offline, 0u);
   EXPECT_GT(reference.stats.messages_dropped, 0u);
 
-  const Fingerprint parallel = RunChurnEpidemic(4, /*batch_window=*/0);
-  EXPECT_TRUE(parallel == reference);
-}
-
-TEST(ScaleNetSimTest, WindowedChurnEpidemicBitIdenticalOneVsManyThreads) {
-  const SimTime window = 2 * common::kMicrosPerMilli;
-  const Fingerprint reference = RunChurnEpidemic(1, window);
-  EXPECT_GT(reference.infected, kNodes / 2);
-  const Fingerprint parallel = RunChurnEpidemic(4, window);
-  EXPECT_TRUE(parallel == reference);
+  EXPECT_TRUE(RunChurnEpidemic(77) == reference);
+  EXPECT_FALSE(RunChurnEpidemic(78) == reference)
+      << "seed 78 reproduced seed 77: the fingerprint ignores the seed";
 }
 
 // Health plane at scale: the sampler rides the sim timer wheel, so every
-// per-tick sample lands at a batch boundary and must capture the same
-// metric values — and hence the same alert stream digest — regardless of
-// how many worker threads executed the batches in between.
-TEST(ScaleNetSimTest, TickSampledHealthSeriesBitIdenticalAcrossThreads) {
+// per-tick sample lands at a fixed point of the event order and captures
+// the same metric values — and hence the same alert stream digest — on
+// every run of the same seed.
+TEST(ScaleNetSimTest, TickSampledHealthSeriesIsAPureFunctionOfTheSeed) {
   constexpr size_t kHealthNodes = 2'000;
   constexpr SimTime kHealthDuration = 3 * common::kMicrosPerSecond;
   constexpr SimTime kTick = 100 * common::kMicrosPerMilli;
@@ -124,15 +144,13 @@ TEST(ScaleNetSimTest, TickSampledHealthSeriesBitIdenticalAcrossThreads) {
     uint64_t sample_count = 0;
     uint64_t digest = 0;
   };
-  auto run = [&](size_t threads) {
+  auto run = [&](uint64_t seed) {
     obs::SetMetricsEnabled(true);
     obs::Registry::Global().ResetValues();
     NetConfig net;
     net.drop_rate = 0.01;
     net.bandwidth_bytes_per_sec = 0;
-    NetSim sim(net, /*seed=*/77);
-    ThreadPool pool(threads);
-    sim.EnableParallel(&pool, /*batch_window=*/0);
+    NetSim sim(net, seed);
     sim.Reserve(kHealthNodes);
 
     RumorConfig rumor;
@@ -159,21 +177,23 @@ TEST(ScaleNetSimTest, TickSampledHealthSeriesBitIdenticalAcrossThreads) {
     for (size_t i = ts.OldestRetained(); i < ts.SampleCount(); ++i) {
       // Absent means the counter had not been touched yet — semantically
       // zero. (Whether the series exists at the first tick depends on
-      // global-registry warmup from earlier runs, not on thread count.)
+      // global-registry warmup from earlier runs, not on the seed.)
       const auto v = ts.ValueAt("dml.net.messages_sent", i);
       trace.sent.push_back(v.value_or(0.0));
     }
     return trace;
   };
 
-  const HealthTrace reference = run(1);
+  const HealthTrace reference = run(77);
   EXPECT_GE(reference.sample_count, 25u);
   EXPECT_GT(reference.sent.back(), 0.0);  // the epidemic actually gossiped
 
-  const HealthTrace parallel = run(4);
-  EXPECT_EQ(parallel.sample_count, reference.sample_count);
-  EXPECT_EQ(parallel.sent, reference.sent);
-  EXPECT_EQ(parallel.digest, reference.digest);
+  const HealthTrace again = run(77);
+  EXPECT_EQ(again.sample_count, reference.sample_count);
+  EXPECT_EQ(again.sent, reference.sent);
+  EXPECT_EQ(again.digest, reference.digest);
+  EXPECT_NE(run(78).sent, reference.sent)
+      << "seed 78 sampled the same series as seed 77";
 }
 
 }  // namespace

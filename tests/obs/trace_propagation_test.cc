@@ -1,8 +1,8 @@
 // Cross-node trace-context propagation: the TraceContext riding NetSim
 // message/timer envelopes must stitch the receiver's delivery span under
-// the sender's span, in sequential and in parallel batch mode; plus the
-// tracer's memory bound, epoch guard, cross-thread parentage and export
-// determinism — the edge cases a long chaos run actually hits.
+// the sender's span; plus the tracer's memory bound, epoch guard,
+// cross-thread parentage and export determinism — the edge cases a long
+// chaos run actually hits.
 
 #include <gtest/gtest.h>
 
@@ -64,8 +64,8 @@ class PingPongNode : public dml::Node {
 };
 
 // Builds the two-node ping-pong sim, runs it, and returns the tracer
-// snapshot. `parallel` exercises the outbox capture/drain path.
-std::vector<SpanRecord> RunPingPong(bool parallel, common::ThreadPool* pool) {
+// snapshot.
+std::vector<SpanRecord> RunPingPong() {
   dml::NetConfig config;
   config.drop_rate = 0.0;
   dml::NetSim sim(config, /*seed=*/11);
@@ -73,7 +73,6 @@ std::vector<SpanRecord> RunPingPong(bool parallel, common::ThreadPool* pool) {
   sim.AddNode(std::make_unique<PingPongNode>(0, 6));
   sim.SetNodeName(0, "role/ping");
   sim.SetNodeName(1, "role/pong");
-  if (parallel) sim.EnableParallel(pool);
   sim.Start();
   sim.RunUntil(10 * common::kMicrosPerSecond);
   return Tracer::Global().Snapshot();
@@ -97,15 +96,7 @@ void ExpectDeliveryChain(const std::vector<SpanRecord>& spans) {
 }
 
 TEST_F(TracePropagationTest, MessageEnvelopeCarriesContextSequential) {
-  ExpectDeliveryChain(RunPingPong(/*parallel=*/false, nullptr));
-}
-
-TEST_F(TracePropagationTest, MessageEnvelopeCarriesContextParallel) {
-  // In parallel mode the context is captured into the outbox on the worker
-  // thread and re-applied when the batch drains; the chain must come out
-  // identical in shape.
-  common::ThreadPool pool(4);
-  ExpectDeliveryChain(RunPingPong(/*parallel=*/true, &pool));
+  ExpectDeliveryChain(RunPingPong());
 }
 
 // A node that re-arms a timer a few times; each firing must parent under
@@ -248,11 +239,9 @@ TEST_F(TracePropagationTest, ThreadPoolWorkersInheritContextViaScope) {
 }
 
 TEST_F(TracePropagationTest, SeededRunsExportIdenticalCausalSkeletons) {
-  const std::vector<SpanRecord> first =
-      RunPingPong(/*parallel=*/false, nullptr);
+  const std::vector<SpanRecord> first = RunPingPong();
   Tracer::Global().Reset();
-  const std::vector<SpanRecord> second =
-      RunPingPong(/*parallel=*/false, nullptr);
+  const std::vector<SpanRecord> second = RunPingPong();
 
   // Wall-clock fields differ run to run; everything causal must not —
   // Reset restarts span and trace ids at 1 exactly so that two identical
